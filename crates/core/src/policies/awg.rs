@@ -13,14 +13,12 @@
 //!   of observed met latencies per address) and only switches if the
 //!   prediction expires unmet.
 
-use std::collections::HashMap;
-
 use awg_gpu::{
     MonitorEntrySnapshot, MonitoredUpdate, PolicyCtx, PolicyFault, SchedPolicy, SyncCond, SyncFail,
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
 use awg_mem::Addr;
-use awg_sim::{CodecError, Cycle, Dec, Enc, Ewma, Stats};
+use awg_sim::{CodecError, Cycle, Dec, Enc, Ewma, FastMap, Stats};
 
 use super::monitor::{MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
@@ -62,8 +60,8 @@ enum Phase {
 pub struct AwgPolicy {
     core: MonitorCore,
     fallback: Cycle,
-    phases: HashMap<WgId, Phase>,
-    met_latency: HashMap<Addr, Ewma>,
+    phases: FastMap<WgId, Phase>,
+    met_latency: FastMap<Addr, Ewma>,
     global_latency: Ewma,
     resume_all_events: u64,
     resume_one_events: u64,
@@ -78,8 +76,8 @@ impl AwgPolicy {
         AwgPolicy {
             core: MonitorCore::new(),
             fallback: DEFAULT_FALLBACK_TIMEOUT,
-            phases: HashMap::new(),
-            met_latency: HashMap::new(),
+            phases: FastMap::default(),
+            met_latency: FastMap::default(),
             global_latency: Ewma::new(2),
             resume_all_events: 0,
             resume_one_events: 0,
@@ -238,6 +236,11 @@ impl SchedPolicy for AwgPolicy {
         wakes
     }
 
+    fn observes_unmonitored_writes(&self) -> bool {
+        // The Bloom filters record every write (see `on_monitored_update`).
+        true
+    }
+
     fn on_wait_timeout(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -322,7 +325,7 @@ impl SchedPolicy for AwgPolicy {
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         self.core.load(dec)?;
         let n = dec.count(5)?;
-        let mut phases = HashMap::with_capacity(n);
+        let mut phases = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let wg = dec.u32()?;
             let phase = match dec.u8()? {
@@ -336,7 +339,7 @@ impl SchedPolicy for AwgPolicy {
         }
         self.phases = phases;
         let n = dec.count(21)?;
-        let mut met_latency = HashMap::with_capacity(n);
+        let mut met_latency = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let addr = dec.u64()?;
             if met_latency.insert(addr, load_ewma(dec)?).is_some() {

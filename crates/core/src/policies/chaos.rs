@@ -146,6 +146,10 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         self.perturb(wakes)
     }
 
+    fn observes_unmonitored_writes(&self) -> bool {
+        self.inner.observes_unmonitored_writes()
+    }
+
     fn on_wait_timeout(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -310,13 +314,6 @@ mod tests {
                     release: false,
                     timeout: None,
                 }
-            }
-            fn on_monitored_update(
-                &mut self,
-                _: &mut PolicyCtx<'_>,
-                _: &MonitoredUpdate,
-            ) -> Vec<Wake> {
-                Vec::new()
             }
         }
         let mut p = DropWakes::new(NoTimeout, 1);

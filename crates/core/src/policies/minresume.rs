@@ -100,6 +100,11 @@ impl SchedPolicy for MinResumePolicy {
         self.release_satisfied(ctx, 1)
     }
 
+    fn observes_unmonitored_writes(&self) -> bool {
+        // The oracle peeks memory on every write, monitored or not.
+        true
+    }
+
     fn on_wait_timeout(
         &mut self,
         _ctx: &mut PolicyCtx<'_>,

@@ -1,13 +1,11 @@
 //! Shared plumbing for the monitor-based policies: SyncMon registration
 //! with Monitor Log spill, CP draining, and monitored-bit lifetime.
 
-use std::collections::HashMap;
-
 use awg_gpu::{
     MonitorEntrySnapshot, PolicyCtx, PolicyFault, SyncCond, WaiterRecord, WaiterStructure, Wake,
     WgId,
 };
-use awg_sim::{CodecError, Dec, Enc, Stats};
+use awg_sim::{CodecError, Dec, Enc, FastMap, Stats};
 
 use crate::cp::Cp;
 use crate::monitorlog::{LogEntry, MonitorLog};
@@ -41,7 +39,7 @@ pub struct MonitorCore {
     /// The CP firmware tables.
     pub cp: Cp,
     /// Where each waiting WG is tracked (for timeout/finish cleanup).
-    tracked: HashMap<WgId, (SyncCond, TrackOutcome)>,
+    tracked: FastMap<WgId, (SyncCond, TrackOutcome)>,
     mesa_retries: u64,
     wakes_issued: u64,
     chaos_evicted_waiters: u64,
@@ -65,7 +63,7 @@ impl MonitorCore {
             syncmon: SyncMon::new(config),
             log: MonitorLog::new(log_capacity),
             cp: Cp::new(),
-            tracked: HashMap::new(),
+            tracked: FastMap::default(),
             mesa_retries: 0,
             wakes_issued: 0,
             chaos_evicted_waiters: 0,
@@ -266,7 +264,7 @@ impl MonitorCore {
         self.log.load(dec)?;
         self.cp.load(dec)?;
         let n = dec.count(21)?;
-        let mut tracked = HashMap::with_capacity(n);
+        let mut tracked = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let wg = dec.u32()?;
             let cond = SyncCond {

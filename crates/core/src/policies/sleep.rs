@@ -7,10 +7,7 @@
 
 use std::collections::HashMap;
 
-use awg_gpu::{
-    MonitoredUpdate, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, WaitDirective, Wake,
-    WgId,
-};
+use awg_gpu::{PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, WaitDirective, WgId};
 use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
 
 /// Initial backoff interval in cycles (doubles per failed retry).
@@ -78,14 +75,6 @@ impl SchedPolicy for SleepBackoffPolicy {
         self.sleeps += 1;
         self.slept_cycles += interval;
         WaitDirective::SleepFor(interval)
-    }
-
-    fn on_monitored_update(
-        &mut self,
-        _ctx: &mut PolicyCtx<'_>,
-        _update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        Vec::new()
     }
 
     fn on_wg_finished(&mut self, _ctx: &mut PolicyCtx<'_>, wg: WgId) {

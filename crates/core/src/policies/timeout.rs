@@ -6,8 +6,7 @@
 //! hardware, but "there is no single best static timeout interval".
 
 use awg_gpu::{
-    MonitoredUpdate, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, TimeoutAction,
-    WaitDirective, Wake, WgId,
+    PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, TimeoutAction, WaitDirective, WgId,
 };
 use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
 
@@ -63,14 +62,6 @@ impl SchedPolicy for TimeoutPolicy {
             release,
             timeout: Some(self.interval),
         }
-    }
-
-    fn on_monitored_update(
-        &mut self,
-        _ctx: &mut PolicyCtx<'_>,
-        _update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        Vec::new()
     }
 
     fn on_wait_timeout(

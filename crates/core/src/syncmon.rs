@@ -9,11 +9,9 @@
 //! consumes. When either structure is full, registrations spill to the
 //! [`crate::MonitorLog`].
 
-use std::collections::HashMap;
-
 use awg_gpu::{SyncCond, WgId};
 use awg_mem::Addr;
-use awg_sim::{CodecError, Dec, Enc};
+use awg_sim::{CodecError, Dec, Enc, FastMap};
 
 use crate::bloom::CountingBloom;
 use crate::hash::{condition_key, UniversalHash};
@@ -100,11 +98,14 @@ pub struct SyncMon {
     entries: Vec<Option<CondEntry>>,
     pool: Vec<Option<WaiterNode>>,
     free: Vec<u16>,
-    addr_index: HashMap<Addr, Vec<usize>>,
+    addr_index: FastMap<Addr, Vec<usize>>,
     blooms: Vec<CountingBloom>,
     set_hash: UniversalHash,
     bloom_hash: UniversalHash,
     waiters_used: usize,
+    /// Live entries in `entries`, kept in step by `register` and
+    /// `remove_entry` so the per-registration high-water update is O(1).
+    live_conditions: usize,
     // High-water marks for reporting.
     max_conditions: usize,
     max_waiters: usize,
@@ -119,11 +120,12 @@ impl SyncMon {
             entries: vec![None; config.condition_capacity()],
             pool: vec![None; config.waiter_slots],
             free: (0..config.waiter_slots as u16).rev().collect(),
-            addr_index: HashMap::new(),
+            addr_index: FastMap::default(),
             blooms: vec![CountingBloom::new(); config.bloom_filters],
             set_hash: UniversalHash::nth(11),
             bloom_hash: UniversalHash::nth(13),
             waiters_used: 0,
+            live_conditions: 0,
             max_conditions: 0,
             max_waiters: 0,
             max_monitored_addrs: 0,
@@ -157,10 +159,6 @@ impl SyncMon {
             .find(|&i| self.entries[i].is_some_and(|e| e.cond == *cond))
     }
 
-    fn conditions(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
     /// Registers `wg` as waiting on `cond` at time `now`.
     pub fn register(&mut self, cond: SyncCond, wg: WgId, now: u64) -> RegisterOutcome {
         let slot = match self.find_entry(&cond) {
@@ -183,6 +181,7 @@ impl SyncMon {
                     waiters: 0,
                     registered_at: now,
                 });
+                self.live_conditions += 1;
                 self.addr_index.entry(cond.addr).or_default().push(free_way);
                 free_way
             }
@@ -210,13 +209,14 @@ impl SyncMon {
         }
         entry.waiters += 1;
         self.max_waiters = self.max_waiters.max(self.waiters_used);
-        self.max_conditions = self.max_conditions.max(self.conditions());
+        self.max_conditions = self.max_conditions.max(self.live_conditions);
         self.max_monitored_addrs = self.max_monitored_addrs.max(self.addr_index.len());
         RegisterOutcome::Registered
     }
 
     fn remove_entry(&mut self, slot: usize) {
         if let Some(e) = self.entries[slot].take() {
+            self.live_conditions -= 1;
             if let Some(list) = self.addr_index.get_mut(&e.cond.addr) {
                 list.retain(|&s| s != slot);
                 if list.is_empty() {
@@ -403,7 +403,7 @@ impl SyncMon {
 
     /// `(cached conditions, waiters in the list)` right now.
     pub fn occupancy(&self) -> (usize, usize) {
-        (self.conditions(), self.waiters_used)
+        (self.live_conditions, self.waiters_used)
     }
 
     /// High-water marks `(conditions, waiters, monitored addresses)`.
@@ -564,7 +564,7 @@ impl SyncMon {
             )));
         }
         let n = dec.count(17)?;
-        let mut addr_index = HashMap::with_capacity(n);
+        let mut addr_index = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let addr = dec.u64()?;
             let m = dec.count(4)?;
@@ -605,6 +605,7 @@ impl SyncMon {
                 "waiters_used {waiters_used} != {live_nodes} live nodes"
             )));
         }
+        self.live_conditions = entries.iter().flatten().count();
         self.entries = entries;
         self.pool = pool;
         self.free = free;

@@ -1158,7 +1158,14 @@ impl Gpu {
         }
     }
 
+    /// Reports a committed store or atomic to the policy: always when the
+    /// line was monitored, otherwise only to policies that observe every
+    /// write. Every other policy ignores unmonitored updates, so skipping
+    /// them changes nothing simulated.
     fn notify_monitored(&mut self, update: MonitoredUpdate) {
+        if !update.monitored && !self.policy.observes_unmonitored_writes() {
+            return;
+        }
         let wakes = self.with_policy(|p, ctx| p.on_monitored_update(ctx, &update));
         self.apply_wakes(wakes);
     }
@@ -1387,7 +1394,6 @@ impl Gpu {
         let wgu = wg as usize;
         debug_assert_eq!(self.wgs[wgu].state, WgState::Running);
         let mut t: Cycle = 0;
-        let program = self.kernel.program.clone();
         for step in 0.. {
             if step >= MAX_INLINE_STEPS {
                 let token = self.wgs[wgu].bump_token();
@@ -1396,7 +1402,7 @@ impl Gpu {
                 return;
             }
             let pc = self.wgs[wgu].pc;
-            let inst = *program.inst(pc);
+            let inst = *self.kernel.program.inst(pc);
             self.wgs[wgu].insts += 1;
             t += self.config.issue_cycles;
             match inst {
@@ -1421,13 +1427,13 @@ impl Gpu {
                     self.wgs[wgu].pc = pc + 1;
                 }
                 Inst::Jmp(l) => {
-                    self.wgs[wgu].pc = program.target(l);
+                    self.wgs[wgu].pc = self.kernel.program.target(l);
                 }
                 Inst::Br(c, r, o, l) => {
                     let a = self.wgs[wgu].regs.get(r);
                     let b = self.operand(wgu, o);
                     self.wgs[wgu].pc = if c.holds(a, b) {
-                        program.target(l)
+                        self.kernel.program.target(l)
                     } else {
                         pc + 1
                     };

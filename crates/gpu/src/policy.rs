@@ -3,8 +3,10 @@
 //!
 //! Whenever a WG's synchronization check fails (a waiting atomic's
 //! comparison misses, or a `wait` instruction arms the monitor), the machine
-//! asks the installed [`SchedPolicy`] what to do. Whenever an atomic commits
-//! on a *monitored* L2 line, the policy is notified and may wake waiters.
+//! asks the installed [`SchedPolicy`] what to do. Whenever a store or atomic
+//! commits on a *monitored* L2 line, the policy is notified and may wake
+//! waiters; policies that opt in through
+//! [`SchedPolicy::observes_unmonitored_writes`] see every access.
 //! All hardware state a policy needs — SyncMon condition caches, Bloom
 //! filters, the Monitor Log — lives inside the policy implementation (crate
 //! `awg-core`); the machine only executes its directives.
@@ -245,12 +247,25 @@ pub trait SchedPolicy {
     /// A WG's synchronization check failed; decide how it waits.
     fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective;
 
-    /// An access committed on a monitored line; return the WGs to wake.
+    /// A store or atomic committed at the L2; return the WGs to wake. The
+    /// machine calls this only when the line was monitored, unless
+    /// [`Self::observes_unmonitored_writes`] holds. The default wakes no
+    /// one.
     fn on_monitored_update(
         &mut self,
-        ctx: &mut PolicyCtx<'_>,
-        update: &MonitoredUpdate,
-    ) -> Vec<Wake>;
+        _ctx: &mut PolicyCtx<'_>,
+        _update: &MonitoredUpdate,
+    ) -> Vec<Wake> {
+        Vec::new()
+    }
+
+    /// Whether [`Self::on_monitored_update`] must also see accesses to
+    /// lines whose monitored bit is clear (AWG's Bloom filters count every
+    /// write; MinResume releases on every write). Skipping the call for
+    /// everyone else is the response path's main saving.
+    fn observes_unmonitored_writes(&self) -> bool {
+        false
+    }
 
     /// A waiting WG's fallback timeout fired.
     fn on_wait_timeout(
@@ -353,14 +368,6 @@ impl SchedPolicy for BusyWaitPolicy {
     fn on_sync_fail(&mut self, _ctx: &mut PolicyCtx<'_>, _fail: &SyncFail) -> WaitDirective {
         self.fails += 1;
         WaitDirective::Retry
-    }
-
-    fn on_monitored_update(
-        &mut self,
-        _ctx: &mut PolicyCtx<'_>,
-        _update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        Vec::new()
     }
 
     fn report(&self, stats: &mut Stats) {

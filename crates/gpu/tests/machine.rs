@@ -190,13 +190,6 @@ impl awg_gpu::SchedPolicy for ReschedulingBusyWait {
     ) -> awg_gpu::WaitDirective {
         self.0.on_sync_fail(ctx, fail)
     }
-    fn on_monitored_update(
-        &mut self,
-        ctx: &mut awg_gpu::PolicyCtx<'_>,
-        update: &awg_gpu::MonitoredUpdate,
-    ) -> Vec<awg_gpu::Wake> {
-        self.0.on_monitored_update(ctx, update)
-    }
 }
 
 #[test]

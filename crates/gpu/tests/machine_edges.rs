@@ -34,13 +34,6 @@ impl awg_gpu::SchedPolicy for ReschedulingBusyWait {
     ) -> awg_gpu::WaitDirective {
         self.0.on_sync_fail(ctx, fail)
     }
-    fn on_monitored_update(
-        &mut self,
-        ctx: &mut awg_gpu::PolicyCtx<'_>,
-        update: &awg_gpu::MonitoredUpdate,
-    ) -> Vec<awg_gpu::Wake> {
-        self.0.on_monitored_update(ctx, update)
-    }
 }
 
 #[test]
@@ -304,13 +297,6 @@ fn wait_episode_histogram_is_recorded() {
                 release: false,
                 timeout: Some(5_000),
             }
-        }
-        fn on_monitored_update(
-            &mut self,
-            _: &mut awg_gpu::PolicyCtx<'_>,
-            _: &awg_gpu::MonitoredUpdate,
-        ) -> Vec<awg_gpu::Wake> {
-            Vec::new()
         }
     }
     let flag = 4096u64;

@@ -1,0 +1,106 @@
+//! Timing of the response path, pinned to the machine configuration
+//! (Table 1): an atomic's issue-to-response time on a warm L2 line, and
+//! the bank ALU serializing atomics that contend for one line. Each
+//! expected figure is derived from `GpuConfig`, not measured.
+
+use awg_gpu::{BusyWaitPolicy, Gpu, GpuConfig, Kernel, TraceEvent, TraceRecord, WgResources};
+use awg_isa::{Cond, Operand, ProgramBuilder, Reg, Special};
+use awg_sim::Cycle;
+
+/// The contended sync variable.
+const LINE: u64 = 0x4000;
+
+/// `(issue, response)` cycles of every atomic, per WG in program order.
+fn atomic_round_trips(records: &[TraceRecord], wg: u32) -> Vec<(Cycle, Cycle)> {
+    let issues = records
+        .iter()
+        .filter(|r| r.wg == wg && matches!(r.event, TraceEvent::AtomicIssue { .. }));
+    let dones = records
+        .iter()
+        .filter(|r| r.wg == wg && matches!(r.event, TraceEvent::AtomicDone { .. }));
+    issues.zip(dones).map(|(i, d)| (i.cycle, d.cycle)).collect()
+}
+
+fn run_traced(kernel: Kernel) -> Vec<TraceRecord> {
+    let mut gpu = Gpu::new(
+        GpuConfig::isca2020_baseline(),
+        kernel,
+        Box::new(BusyWaitPolicy::new()),
+    );
+    gpu.enable_trace();
+    assert!(gpu.run().is_completed());
+    gpu.trace_records()
+}
+
+/// L1→L2 trip, one bank-ALU occupancy, L2→L1 trip.
+fn warm_atomic_cycles(config: &GpuConfig) -> Cycle {
+    2 * config.l2.cache.latency + config.l2.atomic_occupancy
+}
+
+#[test]
+fn warm_line_atomic_round_trip_is_trip_alu_trip() {
+    let config = GpuConfig::isca2020_baseline();
+    assert_eq!(warm_atomic_cycles(&config), 50 + 32 + 50);
+
+    // The first atomic misses and fills the line; after the compute gap the
+    // bank is idle and the second one hits.
+    let mut b = ProgramBuilder::new("warm_atomic");
+    b.atom_add(Reg::R0, LINE, 1i64);
+    b.compute(1_000);
+    b.atom_add(Reg::R0, LINE, 1i64);
+    b.halt();
+    let records = run_traced(Kernel::new(b.build().unwrap(), 1, WgResources::default()));
+
+    let trips = atomic_round_trips(&records, 0);
+    assert_eq!(trips.len(), 2);
+    let (cold_issue, cold_done) = trips[0];
+    assert!(
+        cold_done - cold_issue > warm_atomic_cycles(&config),
+        "a cold line pays the DRAM fill"
+    );
+    let (issue, done) = trips[1];
+    assert_eq!(done - issue, warm_atomic_cycles(&config));
+}
+
+#[test]
+fn contending_atomics_commit_one_alu_occupancy_apart() {
+    const CONTENDERS: u32 = 6;
+    let config = GpuConfig::isca2020_baseline();
+
+    // WG 0 warms the line and leaves. Every other WG runs the same
+    // instructions, so all their atomics reach the bank in one cycle.
+    let mut b = ProgramBuilder::new("contend");
+    let contend = b.new_label();
+    b.special(Reg::R1, Special::WgId);
+    b.br(Cond::Ne, Reg::R1, Operand::Imm(0), contend);
+    b.atom_add(Reg::R0, LINE, 1i64);
+    b.halt();
+    b.bind(contend);
+    b.compute(5_000);
+    b.atom_add(Reg::R0, LINE, 1i64);
+    b.halt();
+    let kernel = Kernel::new(
+        b.build().unwrap(),
+        u64::from(CONTENDERS) + 1,
+        WgResources::default(),
+    );
+    let records = run_traced(kernel);
+
+    let mut trips: Vec<(Cycle, Cycle)> = (1..=CONTENDERS)
+        .flat_map(|wg| atomic_round_trips(&records, wg))
+        .collect();
+    assert_eq!(trips.len(), CONTENDERS as usize);
+    let issue = trips[0].0;
+    assert!(
+        trips.iter().all(|&(i, _)| i == issue),
+        "contenders issue together: {trips:?}"
+    );
+    trips.sort_unstable_by_key(|&(_, done)| done);
+    for (k, &(_, done)) in trips.iter().enumerate() {
+        assert_eq!(
+            done - issue,
+            warm_atomic_cycles(&config) + k as Cycle * config.l2.atomic_occupancy,
+            "atomic {k} of {CONTENDERS}: {trips:?}"
+        );
+    }
+}

@@ -160,18 +160,18 @@ impl Pool {
             for me in 0..workers {
                 let tx = tx.clone();
                 scope.spawn(move || loop {
-                    let claimed = queues[me]
-                        .lock()
-                        .expect("job queue poisoned")
-                        .pop_front()
-                        .or_else(|| {
-                            (1..workers).find_map(|d| {
-                                queues[(me + d) % workers]
-                                    .lock()
-                                    .expect("job queue poisoned")
-                                    .pop_back()
-                            })
-                        });
+                    // Pop the own queue in a statement of its own: its guard
+                    // must drop before a neighbour's lock is taken, or two
+                    // idle workers stealing from each other deadlock.
+                    let own = queues[me].lock().expect("job queue poisoned").pop_front();
+                    let claimed = own.or_else(|| {
+                        (1..workers).find_map(|d| {
+                            queues[(me + d) % workers]
+                                .lock()
+                                .expect("job queue poisoned")
+                                .pop_back()
+                        })
+                    });
                     let Some((index, job)) = claimed else { break };
                     if tx.send((index, execute(job))).is_err() {
                         break;
@@ -383,6 +383,41 @@ mod tests {
                 assert!(t.contains("fig14/SPM_G/AWG"), "{t}");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Regression: idle workers stealing from each other must not deadlock.
+    /// Each pool's jobs meet at a barrier, so all workers go idle and start
+    /// stealing at once. The pools run on a helper thread so a deadlock
+    /// fails the test at the deadline instead of hanging the suite.
+    #[test]
+    fn idle_workers_stealing_at_once_never_deadlock() {
+        const WORKERS: usize = 4;
+        const POOLS: usize = 5_000;
+        let (done_tx, done_rx) = mpsc::channel();
+        // Not joined: after a deadlock the helper never returns.
+        std::thread::spawn(move || {
+            for _ in 0..POOLS {
+                let barrier = std::sync::Barrier::new(WORKERS);
+                let barrier = &barrier;
+                let jobs: Vec<Job<'_, usize>> = (0..WORKERS)
+                    .map(|i| {
+                        job(format!("j{i}"), move || {
+                            barrier.wait();
+                            i
+                        })
+                    })
+                    .collect();
+                assert_eq!(Pool::new(WORKERS).run(jobs).len(), WORKERS);
+            }
+            done_tx.send(()).expect("test thread is waiting");
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{POOLS} pools of {WORKERS} did not finish in 60 s: workers deadlocked")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the pool helper thread panicked"),
         }
     }
 

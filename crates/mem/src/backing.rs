@@ -4,9 +4,7 @@
 //! memory that has ever been written. Timing is handled elsewhere; this is
 //! purely the "what value lives at this address" half of the memory system.
 
-use std::collections::HashMap;
-
-use awg_sim::{CodecError, Dec, Enc};
+use awg_sim::{CodecError, Dec, Enc, FastMap};
 
 use crate::addr::{Addr, WORD_BYTES};
 
@@ -24,7 +22,7 @@ use crate::addr::{Addr, WORD_BYTES};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Backing {
-    words: HashMap<Addr, i64>,
+    words: FastMap<Addr, i64>,
     writes: u64,
 }
 
@@ -77,7 +75,7 @@ impl Backing {
 
     /// Serializes the full functional memory image. Words are written in
     /// ascending address order so identical memories always produce
-    /// byte-identical encodings regardless of `HashMap` iteration order.
+    /// byte-identical encodings regardless of map iteration order.
     pub fn save_image(&self, enc: &mut Enc) {
         enc.u64(self.writes);
         let mut words: Vec<(Addr, i64)> = self.words.iter().map(|(&a, &v)| (a, v)).collect();
@@ -95,7 +93,7 @@ impl Backing {
     pub fn load_image(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         self.writes = dec.u64()?;
         let n = dec.count(16)?;
-        let mut words = HashMap::with_capacity(n);
+        let mut words = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let a = dec.u64()?;
             let v = dec.i64()?;

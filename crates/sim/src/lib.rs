@@ -14,6 +14,8 @@
 //!   stall-time predictor (§IV.B of the paper),
 //! * [`Fingerprint64`] — an order-sensitive state hasher for the
 //!   machine-layer digests the determinism harness compares,
+//! * [`FastMap`] — a `HashMap` under an unkeyed multiply-rotate hasher
+//!   for the hot-path maps keyed by addresses and WG ids,
 //! * cycle/time conversion helpers for the paper's 2 GHz baseline clock.
 //!
 //! # Example
@@ -38,6 +40,7 @@
 pub mod codec;
 pub mod event;
 pub mod ewma;
+pub mod fasthash;
 pub mod fingerprint;
 pub mod json;
 pub mod rng;
@@ -48,6 +51,7 @@ pub mod time;
 pub use codec::{crc32, CodecError, Dec, Enc};
 pub use event::EventQueue;
 pub use ewma::Ewma;
+pub use fasthash::{FastHasher, FastMap};
 pub use fingerprint::{first_divergence, Fingerprint64};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{CounterId, DistId, DistSummary, HistId, Stats};

@@ -1,13 +1,20 @@
 //! Measurement registry: counters, distributions, and log₂ histograms.
 //!
 //! Every crate in the simulator records into a [`Stats`] registry. Handles
-//! ([`CounterId`], [`DistId`], [`HistId`]) are cheap indices so the hot path
-//! never hashes strings.
+//! ([`CounterId`], [`DistId`], [`HistId`]) are plain indices, so recording
+//! through a handle never hashes. Registering a name doubles as looking it
+//! up, and several per-event paths do that instead of keeping a handle:
+//! the machine's wait-episode histogram on every wake delivery, the
+//! monitor's wake-batch histogram on every SyncMon wake, AWG's
+//! predicted-stall sample on every oversubscribed sync failure and its
+//! met-latency sample on every met condition, and the telemetry hub's
+//! wake-to-resume histogram on every resume. Those paths hash the name each
+//! time, through a [`FastMap`] index.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::codec::{CodecError, Dec, Enc};
+use crate::fasthash::FastMap;
 use crate::time::Cycle;
 
 /// Handle to a registered counter.
@@ -85,9 +92,9 @@ pub struct Stats {
     // Name → slot indices so registration (and by-name lookup) is O(1).
     // Policies register per-WG metrics on hot paths; a linear scan makes
     // that quadratic in the number of registered names.
-    counter_index: HashMap<String, usize>,
-    dist_index: HashMap<String, usize>,
-    hist_index: HashMap<String, usize>,
+    counter_index: FastMap<String, usize>,
+    dist_index: FastMap<String, usize>,
+    hist_index: FastMap<String, usize>,
 }
 
 impl Stats {
