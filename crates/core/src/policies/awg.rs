@@ -293,8 +293,8 @@ impl SchedPolicy for AwgPolicy {
         self.core.snapshot()
     }
 
-    fn waiter_registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        self.core.registry()
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        self.core.for_each_waiter(visit);
     }
 
     fn save_state(&self, enc: &mut Enc) {

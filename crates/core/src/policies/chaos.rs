@@ -188,8 +188,8 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         self.inner.monitor_snapshot()
     }
 
-    fn waiter_registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        self.inner.waiter_registry()
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        self.inner.for_each_waiter(visit);
     }
 
     fn report(&self, stats: &mut Stats) {

@@ -127,24 +127,18 @@ impl SchedPolicy for MinResumePolicy {
         self.release_satisfied(ctx, 1)
     }
 
-    fn waiter_registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        let mut out: Vec<(WgId, WaiterRecord)> = self
-            .waiters
-            .iter()
-            .flat_map(|(&cond, q)| {
-                q.iter().map(move |&wg| {
-                    (
-                        wg,
-                        WaiterRecord {
-                            cond,
-                            structure: WaiterStructure::PolicyLocal,
-                        },
-                    )
-                })
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(wg, _)| wg);
-        out
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        for (&cond, q) in &self.waiters {
+            for &wg in q {
+                visit(
+                    wg,
+                    WaiterRecord {
+                        cond,
+                        structure: WaiterStructure::PolicyLocal,
+                    },
+                );
+            }
+        }
     }
 
     fn report(&self, stats: &mut Stats) {

@@ -147,23 +147,18 @@ impl MonitorCore {
         self.tracked.get(&wg).copied()
     }
 
-    /// Every tracked waiter with the structure holding its registration,
-    /// sorted by WG for the invariant oracle. `MesaRetry` outcomes never
-    /// enter `tracked`, so everything here is Cached or Spilled.
-    pub fn registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        let mut out: Vec<(WgId, WaiterRecord)> = self
-            .tracked
-            .iter()
-            .map(|(&wg, &(cond, outcome))| {
-                let structure = match outcome {
-                    TrackOutcome::Cached => WaiterStructure::SyncMon,
-                    TrackOutcome::Spilled | TrackOutcome::MesaRetry => WaiterStructure::MonitorLog,
-                };
-                (wg, WaiterRecord { cond, structure })
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(wg, _)| wg);
-        out
+    /// Visits every tracked waiter with the structure holding its
+    /// registration, in map order, for the invariant oracle. `MesaRetry`
+    /// outcomes never enter `tracked`, so everything here is Cached or
+    /// Spilled.
+    pub fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        for (&wg, &(cond, outcome)) in &self.tracked {
+            let structure = match outcome {
+                TrackOutcome::Cached => WaiterStructure::SyncMon,
+                TrackOutcome::Spilled | TrackOutcome::MesaRetry => WaiterStructure::MonitorLog,
+            };
+            visit(wg, WaiterRecord { cond, structure });
+        }
     }
 
     /// The CP firmware tick: drain the log, check spilled conditions with

@@ -169,8 +169,8 @@ impl SchedPolicy for MonNrAllPolicy {
         self.0.core.snapshot()
     }
 
-    fn waiter_registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        self.0.core.registry()
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        self.0.core.for_each_waiter(visit);
     }
 
     fn report(&self, stats: &mut Stats) {
@@ -260,8 +260,8 @@ impl SchedPolicy for MonNrOnePolicy {
         self.0.core.snapshot()
     }
 
-    fn waiter_registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        self.0.core.registry()
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        self.0.core.for_each_waiter(visit);
     }
 
     fn report(&self, stats: &mut Stats) {

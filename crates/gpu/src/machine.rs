@@ -94,6 +94,24 @@ impl Event {
             Event::Fault(_) => 11,
         }
     }
+
+    /// The WG the event belongs to, if any.
+    fn wg(&self) -> Option<WgId> {
+        match *self {
+            Event::Continue(wg, _)
+            | Event::Response(wg, _)
+            | Event::WakeDeliver(wg, _)
+            | Event::WaitTimeout(wg, _)
+            | Event::SwapOutDone(wg, _)
+            | Event::SwapInDone(wg, _)
+            | Event::DispatchDone(wg, _) => Some(wg),
+            Event::CpTick
+            | Event::ResourceLoss(_)
+            | Event::ResourceRestore(_)
+            | Event::ProgressCheck
+            | Event::Fault(_) => None,
+        }
+    }
 }
 
 /// Running tallies of the chaos the fault plan actually inflicted.
@@ -229,10 +247,10 @@ pub struct Gpu {
     /// invariant oracle cross-checks it against the per-WG ground truth.
     /// Derived state: never serialized, rebuilt on restore.
     pub(crate) state_census: [usize; WgState::ALL.len()],
-    /// Reusable oracle sweep buffers (generation-marked scratch arrays).
-    /// Host-only, like `hotprof`: never serialized, never read by the
-    /// simulation itself.
-    pub(crate) oracle_scratch: std::cell::RefCell<crate::oracle::OracleScratch>,
+    /// The oracle's scratch buffers and the per-event check's shadow of
+    /// the machine. Host-only, like `hotprof`: never serialized, never
+    /// read by the simulation itself.
+    pub(crate) oracle: std::cell::RefCell<crate::oracle::OracleState>,
     last_progress: Cycle,
     resumes: u64,
     unnecessary_resumes: u64,
@@ -334,7 +352,7 @@ impl Gpu {
             ready: VecDeque::new(),
             finished: 0,
             state_census,
-            oracle_scratch: std::cell::RefCell::new(Default::default()),
+            oracle: std::cell::RefCell::new(Default::default()),
             last_progress: 0,
             resumes: 0,
             unnecessary_resumes: 0,
@@ -584,6 +602,8 @@ impl Gpu {
         for wg in &self.wgs {
             self.state_census[wg.state.census_index()] += 1;
         }
+        // So is the oracle's shadow: the first event sweeps in full.
+        self.oracle.get_mut().shadow.reset();
         let n_events = dec.count(10)?;
         let mut entries = Vec::with_capacity(n_events);
         for _ in 0..n_events {
@@ -768,8 +788,10 @@ impl Gpu {
     }
 
     /// Enables the invariant oracle: after every scheduling event the
-    /// machine cross-checks its state against the machine-wide invariants
-    /// (see [`crate::oracle`]) and records violations for
+    /// machine cross-checks what the event touched against the machine-wide
+    /// invariants, and sweeps them all once per
+    /// [`SWEEP_WINDOW`](crate::oracle::SWEEP_WINDOW) and at run end (see
+    /// [`crate::oracle`]); violations are recorded for
     /// [`violations`](Gpu::violations).
     pub fn enable_invariant_oracle(&mut self) -> &mut Self {
         self.oracle_on = true;
@@ -876,10 +898,21 @@ impl Gpu {
         });
     }
 
-    /// Runs the oracle's full invariant sweep and records anything it finds.
-    fn oracle_sweep(&mut self) {
-        for v in self.check_invariants() {
+    /// Runs the oracle after one handled event and records anything it
+    /// finds.
+    fn oracle_event(&mut self, own: Option<WgId>) {
+        for v in self.check_event(own) {
             self.record_violation(v.kind, v.detail);
+        }
+    }
+
+    /// Runs the oracle's run-end sweep, when the oracle is on, and records
+    /// anything it finds. `unhandled` is the event a cut-off run popped.
+    fn oracle_run_end(&mut self, unhandled: Option<Event>) {
+        if self.oracle_on {
+            for v in self.check_run_end(unhandled) {
+                self.record_violation(v.kind, v.detail);
+            }
         }
     }
 
@@ -1043,6 +1076,9 @@ impl Gpu {
         f: impl FnOnce(&mut dyn SchedPolicy, &mut PolicyCtx<'_>) -> R,
     ) -> R {
         let swapped = self.swapped_waiting_count();
+        if self.oracle_on {
+            self.oracle.get_mut().shadow.note_policy_call();
+        }
         let mut ctx = PolicyCtx {
             now: self.now,
             l2: &mut self.l2,
@@ -1107,6 +1143,9 @@ impl Gpu {
         self.perturb_wakes(&mut wakes);
         for wake in wakes {
             let wg = wake.wg as usize;
+            if self.oracle_on {
+                self.oracle.get_mut().shadow.touch(wake.wg);
+            }
             match self.wgs[wg].state {
                 WgState::Stalled | WgState::SwappedWaiting => {
                     let token = self.wgs[wg].token;
@@ -1334,6 +1373,9 @@ impl Gpu {
         self.state_census[self.wgs[wgu].state.census_index()] -= 1;
         self.state_census[state.census_index()] += 1;
         self.wgs[wgu].set_state(state, at);
+        if self.oracle_on {
+            self.oracle.get_mut().shadow.touch(wg);
+        }
         if state == WgState::Running {
             // The fault's eviction episode ends when the WG runs again.
             self.wgs[wgu].fault_evicted = false;
@@ -2187,9 +2229,11 @@ impl Gpu {
 
         loop {
             if self.finished as u64 == self.kernel.num_wgs {
+                self.oracle_run_end(None);
                 return RunOutcome::Completed(self.summarize());
             }
             if let Some(at) = self.deadlocked {
+                self.oracle_run_end(None);
                 let unfinished = self.kernel.num_wgs as usize - self.finished;
                 let hang = self.hang_report();
                 return RunOutcome::Deadlocked {
@@ -2219,6 +2263,7 @@ impl Gpu {
             let Some((cycle, event)) = self.events.pop() else {
                 // No pending events with unfinished WGs: every WG waits on a
                 // notification that can never arrive.
+                self.oracle_run_end(None);
                 let at = self.now;
                 let unfinished = self.kernel.num_wgs as usize - self.finished;
                 let hang = self.hang_report();
@@ -2230,6 +2275,7 @@ impl Gpu {
                 };
             };
             if cycle > self.config.max_cycles {
+                self.oracle_run_end(Some(event));
                 let at = self.now;
                 let unfinished = self.kernel.num_wgs as usize - self.finished;
                 let hang = self.hang_report();
@@ -2241,6 +2287,7 @@ impl Gpu {
                 };
             }
             if let Some(cause) = self.watchdog.as_ref().and_then(|wd| wd.check(cycle)) {
+                self.oracle_run_end(Some(event));
                 let at = self.now;
                 let unfinished = self.kernel.num_wgs as usize - self.finished;
                 let hang = self.hang_report();
@@ -2295,13 +2342,13 @@ impl Gpu {
             if self.oracle_on {
                 if profiling {
                     let t0 = Instant::now();
-                    self.oracle_sweep();
+                    self.oracle_event(event.wg());
                     let wall = t0.elapsed();
                     if let Some(hub) = self.telemetry.as_mut() {
                         hub.profile_note(Subsystem::Check, wall);
                     }
                 } else {
-                    self.oracle_sweep();
+                    self.oracle_event(event.wg());
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The invariant oracle: machine-wide self-checks for the simulator.
 //!
-//! When enabled ([`Gpu::enable_invariant_oracle`]), the machine sweeps
-//! these invariants after every scheduling event:
+//! When enabled ([`Gpu::enable_invariant_oracle`]), the machine checks
+//! these invariants as it runs:
 //!
 //! 1. **Registration** — every waiter a policy tracks is registered in
 //!    exactly one wait structure, and only while the WG is actually in a
@@ -21,29 +21,70 @@
 //!    limits admit, and its free-resource counters exactly mirror the
 //!    residents' demands.
 //!
-//! The sweep is read-only and allocation-light, but it runs per event:
-//! leave it off for throughput experiments and on for the chaos matrix and
-//! CI, where catching a corrupted schedule at the first bad event is worth
-//! the slowdown.
+//! # When the checks run
+//!
+//! The full sweep ([`Gpu::check_invariants`]) reads every WG, both queues,
+//! every CU's resident list and the policy's whole waiter registry, and
+//! walks the event calendar when some waiter has neither a registration
+//! nor a landed wake. With the oracle on, the machine runs it after the
+//! first event (of a new or restored machine), after the first event at or
+//! past every [`SWEEP_WINDOW`]-cycle boundary, and whenever [`Gpu::run`]
+//! returns. After every other event it runs the per-event check instead,
+//! over the event's **touch set**: the event's own WG, every WG whose state
+//! the event set, every WG the policy woke, and, on events that called the
+//! policy, every WG whose registration vanished since the last read.
+//!
+//! * For each touched WG it runs the sweep's queue, residency,
+//!   stale-registration and reachability checks. The two queues are read
+//!   whole, so duplicates stay exact; a CU's resident list is compared
+//!   with its last copy only when a touched WG was on it or the CU's count
+//!   or free resources moved; the calendar walk runs only when a touched
+//!   waiter has neither a registration nor a landed wake.
+//! * On events that called the policy it re-reads the whole registry and
+//!   runs the duplicate, stale and monitored-bit checks over every record.
+//! * Every event it checks the counts in O(#CUs): finished WGs and queue
+//!   lengths against the census, the homes sum, each CU's occupancy
+//!   against its limit and its resource balance, and the machine's
+//!   incremental state census against one the oracle keeps itself from the
+//!   touched WGs' previous states.
+//!
+//! The per-event check is exact — after each event it reports everything
+//! the full sweep would newly report, in the sweep's order — as long as
+//! every WG state change goes through the machine's one state setter
+//! (`set_wg_state`), and every other write the checks read (queue
+//! membership, CU residency, placement, the landed-wake flag, the wake
+//! token) lands on the event's own WG or on a WG whose state the event
+//! also set. DESIGN.md lists those mutation sites. A write that bypasses
+//! them, such as a test tampering with WG state, is reported by the next
+//! window sweep or the run-end sweep.
+//!
+//! Leave the oracle off for throughput experiments and on for the chaos
+//! matrix, the conformance lab and CI, where catching a corrupted schedule
+//! at the event that corrupts it is worth the slowdown.
 
 use awg_sim::Cycle;
 
 use crate::machine::{Event, Gpu};
-use crate::policy::WaiterStructure;
-use crate::wg::WgState;
+use crate::policy::{WaiterRecord, WaiterStructure};
+use crate::wg::{Wg, WgId, WgState};
 
-/// Reusable generation-marked scratch buffers for the invariant sweep.
+/// Cycles between the full sweeps of a run with the oracle on. Equal to
+/// the harness's digest window, so each digest window ends in a sweep.
+pub const SWEEP_WINDOW: Cycle = 5_000;
+
+/// Number of [`WgState`] census slots.
+const STATES: usize = WgState::ALL.len();
+
+/// Reusable generation-marked scratch buffers for the invariant checks.
 ///
-/// The sweep runs after *every* scheduling event when the oracle is on, so
-/// per-sweep `HashMap`/`HashSet` allocations were the dominant cost of
-/// every checked campaign. Each sweep bumps `gen` once; a per-WG cell
-/// "contains" its mark iff it equals the current generation, which resets
-/// every array in O(1) without touching memory.
+/// Each check bumps `gen` once; a per-WG cell "contains" its mark iff it
+/// equals the current generation, which resets every array in O(1)
+/// without touching memory.
 #[derive(Debug, Default)]
 pub(crate) struct OracleScratch {
     gen: u64,
     /// Queue-membership marks (`gen * 2 + queue_index`), so the pending
-    /// and ready queues get independent duplicate detection per sweep.
+    /// and ready queues get independent duplicate detection per check.
     queue_mark: Vec<u64>,
     /// CU-placement marks plus the placing CU, for duplicate residency.
     placed_mark: Vec<u64>,
@@ -53,10 +94,13 @@ pub(crate) struct OracleScratch {
     /// Waiters with no wake path *yet*: set while scanning WGs, cleared by
     /// the event-calendar scan when a pending token-valid rescue is found.
     rescue_mark: Vec<u64>,
+    /// Buffer for sorted registry reads, which only the checks that
+    /// report on records need.
+    registry: Vec<(WgId, WaiterRecord)>,
 }
 
 impl OracleScratch {
-    /// Starts a sweep over `n` WGs: bumps the generation and (once per
+    /// Starts a check over `n` WGs: bumps the generation and (once per
     /// machine size) grows the mark arrays.
     fn begin(&mut self, n: usize) -> u64 {
         self.gen += 1;
@@ -69,6 +113,95 @@ impl OracleScratch {
         }
         self.gen
     }
+}
+
+/// What the per-event check knows of the machine as of the last check:
+/// each WG's state and their census, who the registry held at its last
+/// read, each CU's resident list and free resources, and each CU's
+/// occupancy limit. Every full sweep rebuilds it; between sweeps only what
+/// the touch set changed is updated.
+#[derive(Debug, Default)]
+pub(crate) struct OracleShadow {
+    /// Whether the shadow mirrors the machine: false until the first full
+    /// sweep, and again after a restore.
+    primed: bool,
+    /// The first event at or past this cycle runs the full sweep.
+    next_sweep: Cycle,
+    /// Id of the current event, the mark `touch_mark` compares against.
+    event: u64,
+    /// The current event's touch set, each WG once.
+    touched: Vec<WgId>,
+    touch_mark: Vec<u64>,
+    /// Whether the current event called the policy.
+    policy_called: bool,
+    /// Each WG's state as of the last check, and the census of those.
+    state: Vec<WgState>,
+    census: [usize; STATES],
+    /// Id of the last registry read, and the last read that listed each
+    /// WG: a WG is registered iff its mark equals `read`.
+    read: u64,
+    read_mark: Vec<u64>,
+    /// The WGs the last read listed, and the read before it.
+    registered: Vec<WgId>,
+    prev_registered: Vec<WgId>,
+    /// Every CU's resident list, flattened (`cu_start[i]..cu_start[i + 1]`
+    /// is CU `i`'s), and its free resources.
+    resident: Vec<WgId>,
+    cu_start: Vec<usize>,
+    cu_free: Vec<(u32, u32, u32)>,
+    /// Per WG, how many resident lists hold it and the last CU that does;
+    /// `placed` counts the WGs some list holds.
+    res_count: Vec<u32>,
+    res_cu: Vec<u32>,
+    placed: usize,
+    /// Each CU's occupancy limit; kernel and capacities never change.
+    limits: Vec<u32>,
+}
+
+impl OracleShadow {
+    /// Adds `wg` to the current event's touch set. Before the first full
+    /// sweep sizes the marks there is nothing to add to: that sweep reads
+    /// every WG.
+    pub(crate) fn touch(&mut self, wg: WgId) {
+        if let Some(mark) = self.touch_mark.get_mut(wg as usize) {
+            if *mark != self.event {
+                *mark = self.event;
+                self.touched.push(wg);
+            }
+        }
+    }
+
+    /// Records that the current event called the policy.
+    pub(crate) fn note_policy_call(&mut self) {
+        self.policy_called = true;
+    }
+
+    /// Forgets the machine: the next check is a full sweep.
+    pub(crate) fn reset(&mut self) {
+        self.primed = false;
+    }
+
+    fn end_event(&mut self) {
+        self.touched.clear();
+        self.policy_called = false;
+        self.event += 1;
+    }
+
+    fn is_touched(&self, wg: WgId) -> bool {
+        self.touch_mark[wg as usize] == self.event
+    }
+
+    fn is_registered(&self, wg: WgId) -> bool {
+        self.read_mark[wg as usize] == self.read
+    }
+}
+
+/// The oracle's host-side state: never serialized, never read by the
+/// simulation itself.
+#[derive(Debug, Default)]
+pub(crate) struct OracleState {
+    scratch: OracleScratch,
+    pub(crate) shadow: OracleShadow,
 }
 
 /// Which machine-wide invariant was violated.
@@ -98,7 +231,7 @@ pub enum InvariantKind {
 /// One invariant violation, stamped with the cycle it was detected at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
-    /// Cycle of the scheduling event after which the sweep fired.
+    /// Cycle of the scheduling event after which the check fired.
     pub at: Cycle,
     /// Which invariant broke.
     pub kind: InvariantKind,
@@ -127,51 +260,358 @@ fn holds_cu(state: WgState) -> bool {
     )
 }
 
+/// Whether a WG in `state` cannot receive a wake, so holding a
+/// registration is stale.
+fn cannot_wake(state: WgState) -> bool {
+    matches!(
+        state,
+        WgState::Pending | WgState::ReadySwapped | WgState::Finished
+    )
+}
+
+/// The report for a waiter with no wake path.
+fn unreachable_detail(w: &Wg) -> String {
+    format!(
+        "WG {} waiting in state {:?} on {:?} with no registration, no pending wake or timeout, \
+         and no landed wake",
+        w.id, w.state, w.cond
+    )
+}
+
+/// Violations found by one check, stamped with its cycle.
+struct Reports {
+    at: Cycle,
+    out: Vec<InvariantViolation>,
+}
+
+impl Reports {
+    fn new(at: Cycle) -> Self {
+        Reports {
+            at,
+            out: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, kind: InvariantKind, detail: String) {
+        self.out.push(InvariantViolation {
+            at: self.at,
+            kind,
+            detail,
+        });
+    }
+}
+
 impl Gpu {
     /// Sweeps every machine-wide invariant against the current state and
     /// returns the violations found (empty when the machine is sound).
     ///
     /// This is the read-only core of the oracle; with
     /// [`enable_invariant_oracle`](Gpu::enable_invariant_oracle) the
-    /// machine runs it after every scheduling event and accumulates the
+    /// machine runs it at the points the [module docs](crate::oracle)
+    /// list, runs the per-event check between them, and accumulates the
     /// findings in [`violations`](Gpu::violations).
     pub fn check_invariants(&self) -> Vec<InvariantViolation> {
-        let mut scratch = self.oracle_scratch.borrow_mut();
-        self.check_invariants_with(&mut scratch)
+        let mut state = self.oracle.borrow_mut();
+        self.check_invariants_with(&mut state.scratch)
     }
 
     /// The sweep body, working out of caller-owned scratch buffers. One
     /// fused pass over the WGs feeds every census-style count; membership
     /// sets are generation marks; the event-calendar scan for waiter
     /// reachability only runs when some waiter actually lacks a
-    /// registration and a landed wake. The checks, their order, and their
-    /// reported details are exactly the original allocating sweep's.
-    pub(crate) fn check_invariants_with(
-        &self,
-        scratch: &mut OracleScratch,
-    ) -> Vec<InvariantViolation> {
-        let mut out = Vec::new();
-        let mut report = |kind: InvariantKind, detail: String| {
-            out.push(InvariantViolation {
-                at: self.now(),
-                kind,
-                detail,
-            });
-        };
+    /// registration and a landed wake. The per-event check runs the same
+    /// checks, in the same order, over its touch set.
+    fn check_invariants_with(&self, scratch: &mut OracleScratch) -> Vec<InvariantViolation> {
+        let mut r = Reports::new(self.now());
         let gen = scratch.begin(self.wgs.len());
-
-        // -- WG conservation: queues agree with states ---------------------
         // One scan computes the ground-truth census every later check reads
         // (deliberately *not* the machine's incremental `state_census`,
         // which is itself under test below).
-        let mut counts = [0usize; WgState::ALL.len()];
+        let mut counts = [0usize; STATES];
         for w in &self.wgs {
             counts[w.state.census_index()] += 1;
         }
-        let count_state = |s: WgState| counts[s.census_index()];
-        let finished_states = count_state(WgState::Finished);
+        self.check_finished(&counts, &mut r);
+        self.check_queues(scratch, gen, &counts, |_| true, &mut r);
+        let placed = self.check_cus(scratch, gen, None, |_| true, &mut r);
+        for w in &self.wgs {
+            self.check_placed(w, scratch.placed_mark[w.id as usize] == gen, &mut r);
+        }
+        self.check_homes(&counts, placed, &mut r);
+        self.check_registry(scratch, gen, &mut r);
+        let registered = &scratch.registered_mark;
+        self.check_reachable(
+            &mut scratch.rescue_mark,
+            gen,
+            self.wgs.iter().map(|w| w.id),
+            |wg| registered[wg as usize] == gen,
+            &mut r,
+        );
+        self.check_census(&counts, &mut r);
+        r.out
+    }
+
+    /// The per-event check over the shadow's touch set (module docs).
+    fn check_touched(
+        &self,
+        scratch: &mut OracleScratch,
+        shadow: &mut OracleShadow,
+    ) -> Vec<InvariantViolation> {
+        let mut r = Reports::new(self.now());
+        let gen = scratch.begin(self.wgs.len());
+        // Sorted, so per-WG reports come out in the sweep's WG order.
+        shadow.touched.sort_unstable();
+        for &wg in &shadow.touched {
+            let now = self.wgs[wg as usize].state;
+            let was = std::mem::replace(&mut shadow.state[wg as usize], now);
+            shadow.census[was.census_index()] -= 1;
+            shadow.census[now.census_index()] += 1;
+        }
+        let counts = shadow.census;
+        self.check_finished(&counts, &mut r);
+        self.check_queues(scratch, gen, &counts, |wg| shadow.is_touched(wg), &mut r);
+        // While no resident list or resource counter moved, the CU checks
+        // can only report on a touched WG whose state or placement no
+        // longer matches the one list holding it; otherwise they run in
+        // full, in the sweep's order.
+        let quiet = self.cus_unchanged(shadow)
+            && shadow.touched.iter().all(|&wg| {
+                let w = &self.wgs[wg as usize];
+                match shadow.res_count[wg as usize] {
+                    0 => w.cu.is_none_or(|cu| self.cu_unchanged(shadow, cu)),
+                    1 => {
+                        let cu = shadow.res_cu[wg as usize] as usize;
+                        w.cu == Some(cu) && holds_cu(w.state) && self.cu_unchanged(shadow, cu)
+                    }
+                    _ => false,
+                }
+            });
+        if !quiet {
+            self.check_cus(
+                scratch,
+                gen,
+                Some(&shadow.limits),
+                |wg| shadow.is_touched(wg),
+                &mut r,
+            );
+            self.snapshot_cus(shadow);
+        }
+        for &wg in &shadow.touched {
+            let w = &self.wgs[wg as usize];
+            self.check_placed(w, shadow.res_count[wg as usize] > 0, &mut r);
+        }
+        self.check_homes(&counts, shadow.placed, &mut r);
+        if shadow.policy_called {
+            // Only a policy call changes the registry or a monitored bit.
+            std::mem::swap(&mut shadow.registered, &mut shadow.prev_registered);
+            if !self.read_marks(shadow) {
+                self.check_registry(scratch, gen, &mut r);
+            }
+            // Waiters whose registration vanished join the touch set.
+            for i in 0..shadow.prev_registered.len() {
+                let wg = shadow.prev_registered[i];
+                if !shadow.is_registered(wg) {
+                    shadow.touch(wg);
+                }
+            }
+            shadow.touched.sort_unstable();
+        } else if shadow
+            .touched
+            .iter()
+            .any(|&wg| shadow.is_registered(wg) && cannot_wake(self.wgs[wg as usize].state))
+        {
+            // A touched WG left the waiting states with its record in
+            // place: report its stale registration from a sorted read.
+            let mut registry = std::mem::take(&mut scratch.registry);
+            self.read_registry(&mut registry);
+            for &wg in &shadow.touched {
+                let first = registry.partition_point(|&(w, _)| w < wg);
+                if let Some(&(w, rec)) = registry.get(first) {
+                    if w == wg {
+                        self.check_stale(wg, rec, &mut r);
+                    }
+                }
+            }
+            scratch.registry = registry;
+        }
+        self.check_reachable(
+            &mut scratch.rescue_mark,
+            gen,
+            shadow.touched.iter().copied(),
+            |wg| shadow.is_registered(wg),
+            &mut r,
+        );
+        self.check_census(&counts, &mut r);
+        r.out
+    }
+
+    /// Whether every CU's resident count and free resources are as the
+    /// shadow last saw them. Lists change only by admitting or releasing a
+    /// touched WG, so a list that changed at equal length lost a touched WG
+    /// and is one the caller compares whole: the list that held it.
+    fn cus_unchanged(&self, shadow: &OracleShadow) -> bool {
+        self.cus.iter().enumerate().all(|(i, cu)| {
+            cu.free_resources() == shadow.cu_free[i]
+                && cu.resident().len() == shadow.cu_start[i + 1] - shadow.cu_start[i]
+        })
+    }
+
+    /// Whether CU `cu` exists and its resident list is as the shadow last
+    /// saw it.
+    fn cu_unchanged(&self, shadow: &OracleShadow, cu: usize) -> bool {
+        self.cus.get(cu).is_some_and(|c| {
+            c.resident() == &shadow.resident[shadow.cu_start[cu]..shadow.cu_start[cu + 1]]
+        })
+    }
+
+    /// Copies every CU's resident list and free resources into the shadow.
+    fn snapshot_cus(&self, shadow: &mut OracleShadow) {
+        for &wg in &shadow.resident {
+            shadow.res_count[wg as usize] = 0;
+        }
+        shadow.resident.clear();
+        shadow.cu_start.clear();
+        shadow.cu_free.clear();
+        shadow.placed = 0;
+        for cu in &self.cus {
+            shadow.cu_start.push(shadow.resident.len());
+            shadow.cu_free.push(cu.free_resources());
+            for &wg in cu.resident() {
+                let count = &mut shadow.res_count[wg as usize];
+                if *count == 0 {
+                    shadow.placed += 1;
+                }
+                *count += 1;
+                shadow.res_cu[wg as usize] = cu.id() as u32;
+                shadow.resident.push(wg);
+            }
+        }
+        shadow.cu_start.push(shadow.resident.len());
+    }
+
+    /// Re-reads the registry into the shadow's marks and returns whether
+    /// no record would report: no WG listed twice, none stale, and every
+    /// SyncMon record's line monitored. Waiters mostly share a few sync
+    /// addresses, so the last monitored address is remembered instead of
+    /// looked up again.
+    fn read_marks(&self, shadow: &mut OracleShadow) -> bool {
+        shadow.read += 1;
+        let read = shadow.read;
+        let marks = &mut shadow.read_mark;
+        let registered = &mut shadow.registered;
+        let states = &shadow.state;
+        registered.clear();
+        let mut clean = true;
+        let mut monitored = None;
+        self.policy.for_each_waiter(&mut |wg, rec| {
+            let mark = &mut marks[wg as usize];
+            if *mark == read {
+                clean = false;
+                return;
+            }
+            *mark = read;
+            registered.push(wg);
+            clean = clean
+                && !cannot_wake(states[wg as usize])
+                && (rec.structure != WaiterStructure::SyncMon
+                    || monitored == Some(rec.cond.addr)
+                    || (self.l2.is_monitored(rec.cond.addr) && {
+                        monitored = Some(rec.cond.addr);
+                        true
+                    }));
+        });
+        clean
+    }
+
+    /// Rebuilds the shadow from the machine after a full sweep.
+    fn resync(&self, shadow: &mut OracleShadow) {
+        let n = self.wgs.len();
+        shadow.state.clear();
+        shadow.state.extend(self.wgs.iter().map(|w| w.state));
+        shadow.census = [0; STATES];
+        for w in &self.wgs {
+            shadow.census[w.state.census_index()] += 1;
+        }
+        shadow.touch_mark.resize(n, 0);
+        shadow.read_mark.resize(n, 0);
+        // Sized once, so the run never reallocates them: growing buffers
+        // between the machine's own allocations raised peak RSS.
+        shadow.touched.reserve(n);
+        shadow.registered.reserve(n);
+        shadow.prev_registered.reserve(n);
+        shadow.resident.reserve(n);
+        self.read_marks(shadow);
+        shadow.res_count.resize(n, 0);
+        shadow.res_cu.resize(n, 0);
+        self.snapshot_cus(shadow);
+        if shadow.limits.len() != self.cus.len() {
+            let req = &self.kernel.resources;
+            shadow.limits = self.cus.iter().map(|cu| cu.max_occupancy(req)).collect();
+        }
+        shadow.next_sweep = (self.now() / SWEEP_WINDOW + 1) * SWEEP_WINDOW;
+        shadow.primed = true;
+    }
+
+    /// The oracle's work after one handled event whose own WG is `own`:
+    /// the full sweep at the first event and at each window boundary, the
+    /// per-event check otherwise.
+    pub(crate) fn check_event(&self, own: Option<WgId>) -> Vec<InvariantViolation> {
+        let mut state = self.oracle.borrow_mut();
+        let OracleState { scratch, shadow } = &mut *state;
+        if let Some(wg) = own {
+            shadow.touch(wg);
+        }
+        let found = if !shadow.primed || self.now() >= shadow.next_sweep {
+            let found = self.check_invariants_with(scratch);
+            self.resync(shadow);
+            found
+        } else {
+            self.check_touched(scratch, shadow)
+        };
+        shadow.end_event();
+        found
+    }
+
+    /// The full sweep as [`Gpu::run`] returns. A run stopped by the cycle
+    /// cap or the watchdog has popped `unhandled`, an event it never
+    /// handles; the last per-event check still counted it as a wake path,
+    /// so this sweep does too.
+    pub(crate) fn check_run_end(&self, unhandled: Option<Event>) -> Vec<InvariantViolation> {
+        let mut state = self.oracle.borrow_mut();
+        let OracleState { scratch, shadow } = &mut *state;
+        let mut found = self.check_invariants_with(scratch);
+        if let Some(Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token)) = unhandled {
+            let w = &self.wgs[wg as usize];
+            if w.token == token {
+                let rescued = unreachable_detail(w);
+                found.retain(|v| {
+                    !(v.kind == InvariantKind::UnreachableWaiter && v.detail == rescued)
+                });
+            }
+        }
+        self.resync(shadow);
+        shadow.end_event();
+        found
+    }
+
+    /// Reads the policy's waiter registry into `into`, sorted by WG and
+    /// then by record, so a WG listed twice reads the same in every process
+    /// (MinResume's map visits in a per-process order).
+    fn read_registry(&self, into: &mut Vec<(WgId, WaiterRecord)>) {
+        into.clear();
+        self.policy
+            .for_each_waiter(&mut |wg, rec| into.push((wg, rec)));
+        into.sort_unstable_by_key(|&(wg, rec)| {
+            (wg, rec.cond.addr, rec.cond.expected, rec.structure as u8)
+        });
+    }
+
+    // -- WG conservation: queues agree with states ---------------------
+
+    fn check_finished(&self, counts: &[usize; STATES], r: &mut Reports) {
+        let finished_states = counts[WgState::Finished.census_index()];
         if finished_states != self.finished {
-            report(
+            r.push(
                 InvariantKind::WgAccounting,
                 format!(
                     "finished counter {} but {} WGs in Finished state",
@@ -179,6 +619,19 @@ impl Gpu {
                 ),
             );
         }
+    }
+
+    /// Both queues in order. Every entry is marked, so duplicates and the
+    /// distinct count are exact; only entries `focus` selects are checked
+    /// against their WG.
+    fn check_queues(
+        &self,
+        scratch: &mut OracleScratch,
+        gen: u64,
+        counts: &[usize; STATES],
+        focus: impl Fn(WgId) -> bool,
+        r: &mut Reports,
+    ) {
         for (qi, (queue, name, state)) in [
             (&self.pending, "pending", WgState::Pending),
             (&self.ready, "ready", WgState::ReadySwapped),
@@ -191,26 +644,31 @@ impl Gpu {
             let mark = gen * 2 + qi as u64;
             let mut distinct = 0usize;
             for &wg in queue {
-                if scratch.queue_mark[wg as usize] == mark {
-                    report(
-                        InvariantKind::WgAccounting,
-                        format!("WG {wg} queued twice in the {name} queue"),
-                    );
-                } else {
+                let seen = scratch.queue_mark[wg as usize] == mark;
+                if !seen {
                     scratch.queue_mark[wg as usize] = mark;
                     distinct += 1;
                 }
+                if !focus(wg) {
+                    continue;
+                }
+                if seen {
+                    r.push(
+                        InvariantKind::WgAccounting,
+                        format!("WG {wg} queued twice in the {name} queue"),
+                    );
+                }
                 let actual = self.wgs[wg as usize].state;
                 if actual != state {
-                    report(
+                    r.push(
                         InvariantKind::WgAccounting,
                         format!("WG {wg} in the {name} queue but in state {actual:?}"),
                     );
                 }
             }
-            let in_state = count_state(state);
+            let in_state = counts[state.census_index()];
             if in_state != distinct {
-                report(
+                r.push(
                     InvariantKind::WgAccounting,
                     format!(
                         "{} WGs in state {state:?} but {} in the {name} queue",
@@ -219,27 +677,46 @@ impl Gpu {
                 );
             }
         }
+    }
 
-        // -- CU residency and occupancy ------------------------------------
+    // -- CU residency and occupancy ------------------------------------
+
+    /// Every CU's resident list and counters; returns the number of
+    /// distinct resident WGs. Residents are marked like queue entries and
+    /// checked against their WG when `focus` selects them. `limits` caches
+    /// [`Cu::max_occupancy`](crate::cu::Cu::max_occupancy) per CU.
+    fn check_cus(
+        &self,
+        scratch: &mut OracleScratch,
+        gen: u64,
+        limits: Option<&[u32]>,
+        focus: impl Fn(WgId) -> bool,
+        r: &mut Reports,
+    ) -> usize {
         let req = &self.kernel.resources;
         let mut placed_count = 0usize;
-        for cu in &self.cus {
+        for (i, cu) in self.cus.iter().enumerate() {
             for &wg in cu.resident() {
                 let wgu = wg as usize;
-                if scratch.placed_mark[wgu] == gen {
-                    let prev = scratch.placed_cu[wgu] as usize;
-                    report(
-                        InvariantKind::CuResidency,
-                        format!("WG {wg} resident on CU {prev} and CU {}", cu.id()),
-                    );
-                } else {
+                let seen = scratch.placed_mark[wgu] == gen;
+                let prev = scratch.placed_cu[wgu] as usize;
+                if !seen {
                     scratch.placed_mark[wgu] = gen;
                     placed_count += 1;
                 }
                 scratch.placed_cu[wgu] = cu.id() as u32;
-                let w = &self.wgs[wg as usize];
+                if !focus(wg) {
+                    continue;
+                }
+                if seen {
+                    r.push(
+                        InvariantKind::CuResidency,
+                        format!("WG {wg} resident on CU {prev} and CU {}", cu.id()),
+                    );
+                }
+                let w = &self.wgs[wgu];
                 if w.cu != Some(cu.id()) {
-                    report(
+                    r.push(
                         InvariantKind::CuResidency,
                         format!(
                             "WG {wg} resident on CU {} but its placement says {:?}",
@@ -249,7 +726,7 @@ impl Gpu {
                     );
                 }
                 if !holds_cu(w.state) {
-                    report(
+                    r.push(
                         InvariantKind::CuResidency,
                         format!(
                             "WG {wg} resident on CU {} in non-resident state {:?}",
@@ -260,13 +737,13 @@ impl Gpu {
                 }
             }
             let n = cu.resident().len() as u32;
-            if n > cu.max_occupancy(req) {
-                report(
+            let limit = limits.map_or_else(|| cu.max_occupancy(req), |l| l[i]);
+            if n > limit {
+                r.push(
                     InvariantKind::CuAccounting,
                     format!(
-                        "CU {} holds {n} WGs, above its occupancy limit {}",
-                        cu.id(),
-                        cu.max_occupancy(req)
+                        "CU {} holds {n} WGs, above its occupancy limit {limit}",
+                        cu.id()
                     ),
                 );
             }
@@ -280,7 +757,7 @@ impl Gpu {
             if (free_wf + used.0, free_lds + used.1, free_vgpr + used.2)
                 != (cap_wf, cap_lds, cap_vgpr)
             {
-                report(
+                r.push(
                     InvariantKind::CuAccounting,
                     format!(
                         "CU {} resource leak: {n} residents, free ({free_wf}, {free_lds}, \
@@ -291,24 +768,31 @@ impl Gpu {
                 );
             }
         }
-        for w in &self.wgs {
-            if holds_cu(w.state) && scratch.placed_mark[w.id as usize] != gen {
-                report(
-                    InvariantKind::CuResidency,
-                    format!("WG {} in state {:?} but resident on no CU", w.id, w.state),
-                );
-            }
-        }
+        placed_count
+    }
 
-        // -- WG conservation: homes sum to the kernel size -----------------
-        let swapped_waiting = count_state(WgState::SwappedWaiting);
+    /// A WG holding CU resources must be on some CU's resident list.
+    fn check_placed(&self, w: &Wg, listed: bool, r: &mut Reports) {
+        if holds_cu(w.state) && !listed {
+            r.push(
+                InvariantKind::CuResidency,
+                format!("WG {} in state {:?} but resident on no CU", w.id, w.state),
+            );
+        }
+    }
+
+    // -- WG conservation: homes sum to the kernel size -----------------
+
+    fn check_homes(&self, counts: &[usize; STATES], placed_count: usize, r: &mut Reports) {
+        let swapped_waiting = counts[WgState::SwappedWaiting.census_index()];
+        let finished_states = counts[WgState::Finished.census_index()];
         let homes = self.pending.len()
             + self.ready.len()
             + placed_count
             + swapped_waiting
             + finished_states;
         if homes as u64 != self.kernel.num_wgs {
-            report(
+            r.push(
                 InvariantKind::WgAccounting,
                 format!(
                     "{} pending + {} ready + {} resident + {swapped_waiting} swapped-waiting + \
@@ -320,33 +804,27 @@ impl Gpu {
                 ),
             );
         }
+    }
 
-        // -- Waiter registrations ------------------------------------------
-        let registry = self.policy.waiter_registry();
-        for (wg, rec) in &registry {
-            if scratch.registered_mark[*wg as usize] == gen {
-                report(
+    // -- Waiter registrations ------------------------------------------
+
+    /// Duplicate, stale and monitored-bit checks over the whole registry,
+    /// in WG order.
+    fn check_registry(&self, scratch: &mut OracleScratch, gen: u64, r: &mut Reports) {
+        let mut registry = std::mem::take(&mut scratch.registry);
+        self.read_registry(&mut registry);
+        for &(wg, rec) in &registry {
+            if scratch.registered_mark[wg as usize] == gen {
+                r.push(
                     InvariantKind::DuplicateRegistration,
                     format!("WG {wg} registered in more than one wait structure"),
                 );
                 continue;
             }
-            scratch.registered_mark[*wg as usize] = gen;
-            let state = self.wgs[*wg as usize].state;
-            if matches!(
-                state,
-                WgState::Pending | WgState::ReadySwapped | WgState::Finished
-            ) {
-                report(
-                    InvariantKind::StaleRegistration,
-                    format!(
-                        "WG {wg} registered ({:?}) but in state {state:?}",
-                        rec.structure
-                    ),
-                );
-            }
+            scratch.registered_mark[wg as usize] = gen;
+            self.check_stale(wg, rec, r);
             if rec.structure == WaiterStructure::SyncMon && !self.l2.is_monitored(rec.cond.addr) {
-                report(
+                r.push(
                     InvariantKind::MonitorSupersetHole,
                     format!(
                         "WG {wg} cached in the SyncMon for {:#x} but the monitored bit is clear",
@@ -355,52 +833,77 @@ impl Gpu {
                 );
             }
         }
+        scratch.registry = registry;
+    }
 
-        // -- Reachability: every waiter has some wake path -----------------
-        // Collect the waiters with no registration and no landed wake; the
-        // event-calendar scan (the only O(events) step left) runs only when
-        // such a waiter exists, which on a sound machine is the rare case.
+    fn check_stale(&self, wg: WgId, rec: WaiterRecord, r: &mut Reports) {
+        let state = self.wgs[wg as usize].state;
+        if cannot_wake(state) {
+            r.push(
+                InvariantKind::StaleRegistration,
+                format!(
+                    "WG {wg} registered ({:?}) but in state {state:?}",
+                    rec.structure
+                ),
+            );
+        }
+    }
+
+    // -- Reachability: every waiter has some wake path -----------------
+
+    /// Reports each waiter among `candidates` (ascending) with no
+    /// registration, no landed wake and no token-valid wake or timeout in
+    /// the calendar. The calendar walk (the only O(events) step) runs only
+    /// when such a waiter lacks the first two, which on a sound machine is
+    /// the rare case.
+    fn check_reachable(
+        &self,
+        rescue_mark: &mut [u64],
+        gen: u64,
+        candidates: impl Iterator<Item = WgId> + Clone,
+        registered: impl Fn(WgId) -> bool,
+        r: &mut Reports,
+    ) {
         let mut needy = 0usize;
-        for w in &self.wgs {
+        for wg in candidates.clone() {
+            let w = &self.wgs[wg as usize];
             if matches!(w.state, WgState::Stalled | WgState::SwappedWaiting)
                 && !w.woke
-                && scratch.registered_mark[w.id as usize] != gen
+                && !registered(wg)
             {
-                scratch.rescue_mark[w.id as usize] = gen;
+                rescue_mark[wg as usize] = gen;
                 needy += 1;
             }
         }
-        if needy > 0 {
-            for (_, ev) in self.events.iter() {
-                if let Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token) = *ev {
-                    let wgu = wg as usize;
-                    if scratch.rescue_mark[wgu] == gen && self.wgs[wgu].token == token {
-                        scratch.rescue_mark[wgu] = 0;
-                    }
+        if needy == 0 {
+            return;
+        }
+        for (_, ev) in self.events.iter() {
+            if let Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token) = *ev {
+                let wgu = wg as usize;
+                if rescue_mark[wgu] == gen && self.wgs[wgu].token == token {
+                    rescue_mark[wgu] = 0;
                 }
             }
-            for w in &self.wgs {
-                if scratch.rescue_mark[w.id as usize] != gen {
-                    continue;
-                }
-                report(
+        }
+        for wg in candidates {
+            if rescue_mark[wg as usize] == gen {
+                r.push(
                     InvariantKind::UnreachableWaiter,
-                    format!(
-                        "WG {} waiting in state {:?} on {:?} with no registration, no pending \
-                         wake or timeout, and no landed wake",
-                        w.id, w.state, w.cond
-                    ),
+                    unreachable_detail(&self.wgs[wg as usize]),
                 );
             }
         }
+    }
 
-        // -- SoA census cross-check ----------------------------------------
-        // The machine maintains `state_census` incrementally so hot paths
-        // can count states in O(1); verify it against the ground-truth scan
-        // above. Appended last so sound machines emit the original checks'
-        // output byte-for-byte.
-        if self.state_census != counts {
-            report(
+    // -- SoA census cross-check ----------------------------------------
+
+    /// The machine maintains `state_census` incrementally so hot paths can
+    /// count states in O(1); verify it against `counts`. Checked last so
+    /// sound machines emit the other checks' output first.
+    fn check_census(&self, counts: &[usize; STATES], r: &mut Reports) {
+        if self.state_census != *counts {
+            r.push(
                 InvariantKind::WgAccounting,
                 format!(
                     "incremental state census {:?} disagrees with per-WG scan {:?}",
@@ -408,8 +911,6 @@ impl Gpu {
                 ),
             );
         }
-
-        out
     }
 }
 
@@ -418,9 +919,12 @@ mod tests {
     use super::*;
     use crate::config::Kernel;
     use crate::config::WgResources;
-    use crate::policy::{BusyWaitPolicy, SyncCond};
-    use crate::GpuConfig;
-    use awg_isa::ProgramBuilder;
+    use crate::policy::{
+        BusyWaitPolicy, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, WaitDirective,
+    };
+    use crate::{GpuConfig, RunOutcome};
+    use awg_isa::{Cond, Operand, ProgramBuilder, Reg, Special};
+    use awg_sim::{Dec, Enc};
 
     fn mini_gpu(num_wgs: u64) -> Gpu {
         let mut b = ProgramBuilder::new("oracle");
@@ -471,6 +975,188 @@ mod tests {
         gpu.cus[0].admit(0, &req);
         let kinds: Vec<InvariantKind> = gpu.check_invariants().iter().map(|v| v.kind).collect();
         assert!(kinds.contains(&InvariantKind::CuResidency), "{kinds:?}");
+    }
+
+    /// WG 0 halts at once; the other three compute in 500-cycle steps for
+    /// about 20k cycles, so a run crosses several sweep windows.
+    fn staggered_gpu() -> Gpu {
+        let mut b = ProgramBuilder::new("staggered");
+        let step = b.new_label();
+        let done = b.new_label();
+        b.special(Reg::R1, Special::WgId);
+        b.br(Cond::Eq, Reg::R1, Operand::Imm(0), done);
+        b.li(Reg::R2, 0);
+        b.bind(step);
+        b.compute(500);
+        b.add(Reg::R2, Reg::R2, 1i64);
+        b.br(Cond::Lt, Reg::R2, Operand::Imm(40), step);
+        b.bind(done);
+        b.halt();
+        let kernel = Kernel::new(b.build().unwrap(), 4, WgResources::default());
+        let mut gpu = Gpu::new(
+            GpuConfig::isca2020_baseline(),
+            kernel,
+            Box::new(BusyWaitPolicy::new()),
+        );
+        gpu.enable_invariant_oracle();
+        gpu
+    }
+
+    /// Stops `gpu` mid-run before cycle `pause`. The cycle cap pops the
+    /// first event past it without handling it, so a no-op CU restore is
+    /// planted there to be that event.
+    fn pause_before(gpu: &mut Gpu, pause: Cycle) {
+        gpu.schedule_resource_restore(0, pause);
+        gpu.config.max_cycles = pause - 1;
+        assert!(matches!(gpu.run(), RunOutcome::CycleLimit { .. }));
+        gpu.config.max_cycles = GpuConfig::isca2020_baseline().max_cycles;
+        assert!(gpu.violations().is_empty(), "{:?}", gpu.violations());
+    }
+
+    /// Turns the finished WG 0 back into a stalled waiter by writing its
+    /// state directly, past `set_wg_state`.
+    fn forge_waiter(gpu: &mut Gpu) {
+        assert_eq!(gpu.wgs[0].state, WgState::Finished);
+        gpu.wgs[0].state = WgState::Stalled;
+        gpu.wgs[0].cond = Some(SyncCond {
+            addr: 4096,
+            expected: 1,
+        });
+    }
+
+    /// The cycle the forged waiter was first reported at. Nothing is
+    /// reported before it; later events may add reports, as each WG that
+    /// finishes moves the counts the forgery already skews.
+    fn forgery_reported_at(gpu: &Gpu) -> Cycle {
+        let v = gpu.violations();
+        let unreachable = v
+            .iter()
+            .find(|v| v.kind == InvariantKind::UnreachableWaiter)
+            .unwrap_or_else(|| panic!("{v:?}"));
+        assert!(unreachable.detail.starts_with("WG 0 "), "{unreachable}");
+        assert!(v.iter().all(|v| v.at >= unreachable.at), "{v:?}");
+        unreachable.at
+    }
+
+    fn completion_cycle(outcome: RunOutcome) -> Cycle {
+        match outcome {
+            RunOutcome::Completed(summary) => summary.cycles,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn direct_state_write_waits_for_the_next_window_sweep() {
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, 7_000);
+        forge_waiter(&mut gpu);
+        let resumed_at = gpu.events.peek_cycle().unwrap();
+        completion_cycle(gpu.run());
+        // Per-event checks ran from the pause to the boundary at 10k; none
+        // of them touched WG 0. The first event past the boundary (the
+        // WGs step every ~500 cycles) sweeps in full and reports it.
+        let boundary = 2 * SWEEP_WINDOW;
+        assert!(resumed_at < boundary);
+        let at = forgery_reported_at(&gpu);
+        assert!(
+            (boundary..boundary + 1_000).contains(&at),
+            "reported at {at}"
+        );
+    }
+
+    #[test]
+    fn direct_state_write_after_the_last_window_waits_for_the_run_end_sweep() {
+        let mut reference = staggered_gpu();
+        let end = completion_cycle(reference.run());
+        assert!(reference.violations().is_empty());
+        let pause = end - 200;
+        assert_eq!(pause / SWEEP_WINDOW, end / SWEEP_WINDOW, "no boundary left");
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, pause);
+        forge_waiter(&mut gpu);
+        assert_eq!(completion_cycle(gpu.run()), end);
+        assert_eq!(forgery_reported_at(&gpu), end);
+    }
+
+    /// The state of `staggered_gpu` stopped before cycle 7,000.
+    fn mid_run_snapshot() -> Vec<u8> {
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, 7_000);
+        let mut enc = Enc::new();
+        gpu.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn restored_snapshot_sweeps_in_full_on_its_first_event() {
+        let snapshot = mid_run_snapshot();
+        let mut gpu = staggered_gpu();
+        gpu.load_state(&mut Dec::new(&snapshot)).unwrap();
+        forge_waiter(&mut gpu);
+        let first = gpu.events.peek_cycle().unwrap();
+        assert!(first < 2 * SWEEP_WINDOW);
+        completion_cycle(gpu.run());
+        assert_eq!(forgery_reported_at(&gpu), first);
+    }
+
+    #[test]
+    fn load_state_drops_the_shadow_of_a_machine_that_ran() {
+        let mut reference = staggered_gpu();
+        let end = completion_cycle(reference.run());
+        // This machine's shadow ends with every WG finished. Checked
+        // against the restored mid-run machine it would report a census,
+        // queue and homes mismatch at the first event.
+        let mut gpu = staggered_gpu();
+        completion_cycle(gpu.run());
+        gpu.load_state(&mut Dec::new(&mid_run_snapshot())).unwrap();
+        assert_eq!(completion_cycle(gpu.run()), end);
+        assert!(gpu.violations().is_empty(), "{:?}", gpu.violations());
+    }
+
+    /// Parks every failed waiting atomic behind a 1,000-cycle fallback
+    /// timeout and registers nothing: the calendar holds the only wake path.
+    #[derive(Debug)]
+    struct TimeoutOnly;
+
+    impl SchedPolicy for TimeoutOnly {
+        fn name(&self) -> &str {
+            "TimeoutOnly"
+        }
+        fn style(&self) -> SyncStyle {
+            SyncStyle::WaitingAtomic
+        }
+        fn on_sync_fail(&mut self, _ctx: &mut PolicyCtx<'_>, _fail: &SyncFail) -> WaitDirective {
+            WaitDirective::Wait {
+                release: false,
+                timeout: Some(1_000),
+            }
+        }
+    }
+
+    #[test]
+    fn run_cut_at_the_cycle_cap_still_counts_its_unhandled_timeout() {
+        // One WG waits on a flag nobody sets, rescued only by timeouts.
+        let mut b = ProgramBuilder::new("forever");
+        let retry = b.new_label();
+        b.bind(retry);
+        b.atom_cmp_wait(Reg::R0, 4096u64, 1i64);
+        b.jmp(retry);
+        let kernel = Kernel::new(b.build().unwrap(), 1, WgResources::default());
+        let mut gpu = Gpu::new(
+            GpuConfig::isca2020_baseline(),
+            kernel,
+            Box::new(TimeoutOnly),
+        );
+        gpu.enable_invariant_oracle();
+        gpu.config.max_cycles = 5_500;
+        assert!(matches!(gpu.run(), RunOutcome::CycleLimit { .. }));
+        // The cap popped the stalled waiter's timeout without handling it,
+        // so a sweep of the machine as returned finds no wake path...
+        assert_eq!(gpu.wgs[0].state, WgState::Stalled);
+        let kinds: Vec<InvariantKind> = gpu.check_invariants().iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [InvariantKind::UnreachableWaiter]);
+        // ...but the run-end sweep counted it, as the last event's check did.
+        assert!(gpu.violations().is_empty(), "{:?}", gpu.violations());
     }
 
     #[test]

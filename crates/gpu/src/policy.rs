@@ -310,14 +310,14 @@ pub trait SchedPolicy {
         Vec::new()
     }
 
-    /// Every waiter this policy currently holds a registration for, sorted
-    /// by WG id, exactly one record per WG. The invariant oracle cross
-    /// checks this against machine state (no waiter registered twice, no
-    /// waiting WG unreachable by every wake path). Policies whose waiters
-    /// are rescued purely by machine-level timeouts return nothing.
-    fn waiter_registry(&self) -> Vec<(WgId, WaiterRecord)> {
-        Vec::new()
-    }
+    /// Visits every waiter this policy currently holds a registration for,
+    /// one call per record, in any order; a sound policy holds exactly one
+    /// record per WG. The invariant oracle cross checks these against
+    /// machine state (no waiter registered twice, no waiting WG unreachable
+    /// by every wake path) and sorts them itself, so the visit allocates
+    /// nothing. Policies whose waiters are rescued purely by machine-level
+    /// timeouts visit nothing.
+    fn for_each_waiter(&self, _visit: &mut dyn FnMut(WgId, WaiterRecord)) {}
 
     /// Dump policy-internal measurements into the run statistics.
     fn report(&self, _stats: &mut Stats) {}

@@ -13,7 +13,8 @@ use crate::scale::Scale;
 /// runs everything under [`Instrumentation::checked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Instrumentation {
-    /// Validate machine-wide invariants at every scheduling event.
+    /// Validate machine-wide invariants as the run goes (see
+    /// [`awg_gpu::oracle`]).
     pub oracle: bool,
     /// Record a state digest every this-many cycles (for same-seed
     /// divergence localization).
@@ -355,6 +356,11 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oracle_sweeps_once_per_digest_window() {
+        assert_eq!(awg_gpu::oracle::SWEEP_WINDOW, DIGEST_WINDOW);
+    }
 
     #[test]
     fn geomean_basics() {
