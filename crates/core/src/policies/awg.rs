@@ -18,7 +18,7 @@ use awg_gpu::{
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
 use awg_mem::Addr;
-use awg_sim::{CodecError, Cycle, Dec, Enc, Ewma, FastMap, Stats};
+use awg_sim::{CodecError, Cycle, Dec, DistId, Enc, Ewma, FastMap, HistId, Stats};
 
 use super::monitor::{MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
@@ -68,6 +68,12 @@ pub struct AwgPolicy {
     escalations: u64,
     predict_enabled: bool,
     stall_predict_enabled: bool,
+    /// Reused buffer for the conditions one update meets.
+    met: Vec<SyncCond>,
+    /// `awg_met_latency_cycles` and `awg_predicted_stall_cycles` in the
+    /// run's registry, resolved at first use; `load_state` clears them.
+    met_latency_hist: Option<HistId>,
+    predicted_stall_dist: Option<DistId>,
 }
 
 impl AwgPolicy {
@@ -84,6 +90,9 @@ impl AwgPolicy {
             escalations: 0,
             predict_enabled: true,
             stall_predict_enabled: true,
+            met: Vec::new(),
+            met_latency_hist: None,
+            predicted_stall_dist: None,
         }
     }
 
@@ -137,10 +146,9 @@ impl AwgPolicy {
     }
 
     fn record_met_latency(&mut self, addr: Addr, latency: Cycle) {
-        self.met_latency.entry(addr).or_insert_with(|| Ewma::new(2));
         self.met_latency
-            .get_mut(&addr)
-            .expect("just inserted")
+            .entry(addr)
+            .or_insert_with(|| Ewma::new(2))
             .record(latency);
         self.global_latency.record(latency);
     }
@@ -172,7 +180,9 @@ impl SchedPolicy for AwgPolicy {
                         // timeout escalates to a context switch (§IV.B).
                         self.phases.insert(fail.wg, Phase::PredictStall);
                         let predicted = self.predicted_stall(fail.cond.addr);
-                        let d = ctx.stats.dist("awg_predicted_stall_cycles");
+                        let d = *self
+                            .predicted_stall_dist
+                            .get_or_insert_with(|| ctx.stats.dist("awg_predicted_stall_cycles"));
                         ctx.stats.sample(d, predicted);
                         WaitDirective::Wait {
                             release: false,
@@ -200,21 +210,27 @@ impl SchedPolicy for AwgPolicy {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         if !update.wrote {
-            return Vec::new();
+            return;
         }
         // The SyncMon sees every bank access, so the Bloom filters record
         // update values whether or not the line is currently monitored —
         // synchronized arrival bursts (barriers) would otherwise commit
         // before the first waiter registers and starve the predictor.
         let unique = self.core.syncmon.record_update(update.addr, update.new);
-        let mut wakes = Vec::new();
-        for cond in self.core.syncmon.conditions_met(update.addr, update.new) {
+        self.core
+            .syncmon
+            .conditions_met_into(update.addr, update.new, &mut self.met);
+        for i in 0..self.met.len() {
+            let cond = self.met[i];
             if let Some(registered_at) = self.core.syncmon.registered_at(&cond) {
                 let latency = ctx.now.saturating_sub(registered_at);
                 self.record_met_latency(update.addr, latency);
-                let h = ctx.stats.hist("awg_met_latency_cycles");
+                let h = *self
+                    .met_latency_hist
+                    .get_or_insert_with(|| ctx.stats.hist("awg_met_latency_cycles"));
                 ctx.stats.observe(h, latency);
             }
             let waiters = self.core.syncmon.waiter_count(&cond);
@@ -227,13 +243,13 @@ impl SchedPolicy for AwgPolicy {
                     self.resume_one_events += 1;
                 }
             }
-            let woken = self.core.wake_cached(ctx, &cond, limit);
-            for w in &woken {
+            let start = wakes.len();
+            self.core.wake_cached(ctx, &cond, limit, wakes);
+            for w in &wakes[start..] {
                 self.phases.remove(&w.wg);
             }
-            wakes.extend(woken);
         }
-        wakes
+        self.met.clear();
     }
 
     fn observes_unmonitored_writes(&self) -> bool {
@@ -277,16 +293,16 @@ impl SchedPolicy for AwgPolicy {
         Some(DEFAULT_CP_TICK)
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        let wakes = self.core.cp_tick(ctx);
-        for w in &wakes {
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        let start = wakes.len();
+        self.core.cp_tick(ctx, wakes);
+        for w in &wakes[start..] {
             self.phases.remove(&w.wg);
         }
-        wakes
     }
 
-    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
-        self.core.inject_fault(ctx, fault)
+    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault, _wakes: &mut Vec<Wake>) {
+        self.core.inject_fault(ctx, fault);
     }
 
     fn monitor_snapshot(&self) -> Vec<MonitorEntrySnapshot> {
@@ -323,6 +339,9 @@ impl SchedPolicy for AwgPolicy {
     }
 
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        // The machine restores its registry alongside: re-resolve handles.
+        self.met_latency_hist = None;
+        self.predicted_stall_dist = None;
         self.core.load(dec)?;
         let n = dec.count(5)?;
         let mut phases = FastMap::with_capacity_and_hasher(n, Default::default());
@@ -376,6 +395,7 @@ impl SchedPolicy for AwgPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::CollectWakes;
     use awg_mem::{L2Config, L2};
 
     fn fail(wg: WgId, addr: u64, expected: i64) -> SyncFail {
@@ -424,9 +444,9 @@ mod tests {
             }
             // Barrier arrivals: many unique counter values.
             for v in 1..=3 {
-                assert!(p.on_monitored_update(&mut ctx, &update(64, v)).is_empty());
+                assert!(p.update_wakes(&mut ctx, &update(64, v)).is_empty());
             }
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 4));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 4));
             assert_eq!(wakes.len(), 4, "barrier: resume all at once");
         });
     }
@@ -439,7 +459,7 @@ mod tests {
                 p.on_sync_fail(&mut ctx, &fail(wg, 64, 0));
             }
             // Mutex: at most two unique values (locked/unlocked).
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 0));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 0));
             assert_eq!(wakes.len(), 1, "mutex: resume one");
             assert_eq!(wakes[0].wg, 0);
         });
@@ -452,7 +472,7 @@ mod tests {
             for wg in 0..4 {
                 p.on_sync_fail(&mut ctx, &fail(wg, 64, 0));
             }
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 0));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 0));
             assert_eq!(wakes.len(), 4);
         });
     }
@@ -502,7 +522,7 @@ mod tests {
         with_ctx!(ctx, oversub = false, {
             p.on_sync_fail(&mut ctx, &fail(0, 64, 1));
             ctx.now = 9_000;
-            p.on_monitored_update(&mut ctx, &update(64, 1));
+            p.update_wakes(&mut ctx, &update(64, 1));
         });
         assert_eq!(p.predicted_stall(64), 9_000.clamp(500, p.fallback));
         // Unknown addresses inherit the global EWMA.
@@ -519,14 +539,14 @@ mod tests {
         with_ctx!(ctx, oversub = false, {
             p.on_sync_fail(&mut ctx, &fail(0, 64, 3));
             for v in 1..=3 {
-                p.on_monitored_update(&mut ctx, &update(64, v));
+                p.update_wakes(&mut ctx, &update(64, v));
             }
             assert_eq!(p.core.syncmon.unique_updates(64), 3, "signature kept");
             // Next episode: the burst re-registers and immediately benefits.
             for wg in 0..4 {
                 p.on_sync_fail(&mut ctx, &fail(wg, 64, 4));
             }
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 4));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 4));
             assert_eq!(wakes.len(), 4, "resume-all from persistent signature");
         });
     }
@@ -541,7 +561,7 @@ mod tests {
                 monitored: false,
                 ..update(64, 7)
             };
-            p.on_monitored_update(&mut ctx, &u);
+            p.update_wakes(&mut ctx, &u);
             assert_eq!(p.core.syncmon.unique_updates(64), 1);
         });
     }

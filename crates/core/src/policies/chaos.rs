@@ -87,25 +87,32 @@ impl<P: SchedPolicy> ChaosWrap<P> {
         self.perturbed
     }
 
-    fn perturb(&mut self, wakes: Vec<Wake>) -> Vec<Wake> {
-        let mut out = Vec::with_capacity(wakes.len());
-        for w in wakes {
+    /// Perturbs, in place, the wakes the inner policy appended to `wakes`
+    /// behind the first `start` entries.
+    fn perturb(&mut self, wakes: &mut Vec<Wake>, start: usize) {
+        let mut i = start;
+        while i < wakes.len() {
             self.seen += 1;
             if !self.seen.is_multiple_of(self.every_nth) {
-                out.push(w);
+                i += 1;
                 continue;
             }
             self.perturbed += 1;
             match self.mode {
-                ChaosMode::Drop => {}
-                ChaosMode::Delay(extra) => out.push(Wake::after(w.wg, w.delay + extra)),
+                ChaosMode::Drop => {
+                    wakes.remove(i);
+                }
+                ChaosMode::Delay(extra) => {
+                    wakes[i].delay += extra;
+                    i += 1;
+                }
                 ChaosMode::Duplicate => {
-                    out.push(w);
-                    out.push(Wake::after(w.wg, w.delay + 13));
+                    let w = wakes[i];
+                    wakes.insert(i + 1, Wake::after(w.wg, w.delay + 13));
+                    i += 2;
                 }
             }
         }
-        out
     }
 }
 
@@ -141,9 +148,11 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        let wakes = self.inner.on_monitored_update(ctx, update);
-        self.perturb(wakes)
+        wakes: &mut Vec<Wake>,
+    ) {
+        let start = wakes.len();
+        self.inner.on_monitored_update(ctx, update, wakes);
+        self.perturb(wakes, start);
     }
 
     fn observes_unmonitored_writes(&self) -> bool {
@@ -172,16 +181,18 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         self.inner.cp_tick_period()
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        let wakes = self.inner.on_cp_tick(ctx);
-        self.perturb(wakes)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        let start = wakes.len();
+        self.inner.on_cp_tick(ctx, wakes);
+        self.perturb(wakes, start);
     }
 
-    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
+    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault, wakes: &mut Vec<Wake>) {
         // Faults target the inner policy's monitor hardware; the wakes it
         // issues in response travel the same faulty plumbing.
-        let wakes = self.inner.on_fault(ctx, fault);
-        self.perturb(wakes)
+        let start = wakes.len();
+        self.inner.on_fault(ctx, fault, wakes);
+        self.perturb(wakes, start);
     }
 
     fn monitor_snapshot(&self) -> Vec<MonitorEntrySnapshot> {
@@ -215,6 +226,7 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::CollectWakes;
     use crate::policies::MonNrAllPolicy;
     use awg_mem::{L2Config, L2};
 
@@ -254,7 +266,7 @@ mod tests {
         for wg in 0..4 {
             p.on_sync_fail(&mut ctx, &fail(wg));
         }
-        p.on_monitored_update(&mut ctx, &update())
+        p.update_wakes(&mut ctx, &update())
     }
 
     #[test]
@@ -352,7 +364,7 @@ mod tests {
             p.on_sync_fail(&mut ctx, &fail(wg));
         }
         assert_eq!(p.monitor_snapshot().len(), 1, "inner entry visible");
-        p.on_fault(&mut ctx, &PolicyFault::EvictConditions { count: 8 });
+        p.fault_wakes(&mut ctx, &PolicyFault::EvictConditions { count: 8 });
         assert!(p.monitor_snapshot().is_empty(), "eviction reached inner");
     }
 

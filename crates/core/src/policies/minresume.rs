@@ -7,12 +7,14 @@
 //! per condition per release step, so nearly every retry succeeds and the
 //! dynamic atomic count approaches the minimum.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 
 use awg_gpu::{
     MonitoredUpdate, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, TimeoutAction,
     WaitDirective, WaiterRecord, WaiterStructure, Wake, WgId,
 };
+use awg_mem::Addr;
 use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
 
 /// Interval between the oracle's staggered release steps.
@@ -24,7 +26,10 @@ const ORACLE_FALLBACK: Cycle = 200_000;
 /// The Fig 9 oracle policy.
 #[derive(Debug, Default)]
 pub struct MinResumePolicy {
-    waiters: HashMap<SyncCond, VecDeque<WgId>>,
+    /// FIFO waiters per condition, keyed `(addr, expected)`: the map's
+    /// order is the release order, and one address's conditions sit
+    /// together. A queue is never left empty.
+    waiters: BTreeMap<(Addr, i64), VecDeque<WgId>>,
     wakes: u64,
 }
 
@@ -41,28 +46,47 @@ impl MinResumePolicy {
         });
     }
 
-    fn release_satisfied(&mut self, ctx: &mut PolicyCtx<'_>, per_cond: usize) -> Vec<Wake> {
-        let mut conds: Vec<SyncCond> = self.waiters.keys().copied().collect();
-        conds.sort_by_key(|c| (c.addr, c.expected));
-        let mut wakes = Vec::new();
-        for cond in conds {
-            if ctx.l2.peek(cond.addr) != cond.expected {
-                continue;
-            }
-            let q = self.waiters.get_mut(&cond).expect("cond present");
-            for _ in 0..per_cond {
-                let Some(wg) = q.pop_front() else { break };
-                wakes.push(Wake::now(wg));
-                self.wakes += 1;
-            }
-            if q.is_empty() {
-                self.waiters.remove(&cond);
-                if !self.waiters.keys().any(|c| c.addr == cond.addr) {
-                    ctx.l2.clear_monitored(cond.addr);
+    /// Releases up to `per_cond` waiters of every condition that holds
+    /// now, appending them to `wakes` in `(addr, expected)` order. A word
+    /// holds one value, so at most one condition per address holds: the
+    /// walk looks up `(addr, value)` for each address in turn, then skips
+    /// the address's other conditions. A line's monitored bit clears when
+    /// the last condition on its address empties.
+    fn release_satisfied(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        per_cond: usize,
+        wakes: &mut Vec<Wake>,
+    ) {
+        let mut next = self.waiters.keys().next().map(|&(addr, _)| addr);
+        while let Some(addr) = next {
+            let key = (addr, ctx.l2.peek(addr));
+            if let Some(q) = self.waiters.get_mut(&key) {
+                for _ in 0..per_cond {
+                    let Some(wg) = q.pop_front() else { break };
+                    wakes.push(Wake::now(wg));
+                    self.wakes += 1;
+                }
+                if q.is_empty() {
+                    self.waiters.remove(&key);
+                    if !self.has_conditions_on(addr) {
+                        ctx.l2.clear_monitored(addr);
+                    }
                 }
             }
+            next = self
+                .waiters
+                .range((Bound::Excluded((addr, i64::MAX)), Bound::Unbounded))
+                .next()
+                .map(|(&(addr, _), _)| addr);
         }
-        wakes
+    }
+
+    fn has_conditions_on(&self, addr: Addr) -> bool {
+        self.waiters
+            .range((addr, i64::MIN)..=(addr, i64::MAX))
+            .next()
+            .is_some()
     }
 }
 
@@ -78,7 +102,7 @@ impl SchedPolicy for MinResumePolicy {
     fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
         ctx.l2.set_monitored(fail.cond.addr);
         self.waiters
-            .entry(fail.cond)
+            .entry((fail.cond.addr, fail.cond.expected))
             .or_default()
             .push_back(fail.wg);
         WaitDirective::Wait {
@@ -91,13 +115,14 @@ impl SchedPolicy for MinResumePolicy {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         if !update.wrote {
-            return Vec::new();
+            return;
         }
         // Release at most one waiter per now-satisfied condition; the
         // stagger tick trickles out the rest without contention.
-        self.release_satisfied(ctx, 1)
+        self.release_satisfied(ctx, 1, wakes);
     }
 
     fn observes_unmonitored_writes(&self) -> bool {
@@ -123,17 +148,17 @@ impl SchedPolicy for MinResumePolicy {
         Some(STAGGER_TICK)
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.release_satisfied(ctx, 1)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.release_satisfied(ctx, 1, wakes);
     }
 
     fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
-        for (&cond, q) in &self.waiters {
+        for (&(addr, expected), q) in &self.waiters {
             for &wg in q {
                 visit(
                     wg,
                     WaiterRecord {
-                        cond,
+                        cond: SyncCond { addr, expected },
                         structure: WaiterStructure::PolicyLocal,
                     },
                 );
@@ -147,13 +172,10 @@ impl SchedPolicy for MinResumePolicy {
     }
 
     fn save_state(&self, enc: &mut Enc) {
-        let mut conds: Vec<SyncCond> = self.waiters.keys().copied().collect();
-        conds.sort_by_key(|c| (c.addr, c.expected));
-        enc.usize(conds.len());
-        for cond in conds {
-            enc.u64(cond.addr);
-            enc.i64(cond.expected);
-            let q = &self.waiters[&cond];
+        enc.usize(self.waiters.len());
+        for (&(addr, expected), q) in &self.waiters {
+            enc.u64(addr);
+            enc.i64(expected);
             enc.usize(q.len());
             for &wg in q {
                 enc.u32(wg);
@@ -164,7 +186,7 @@ impl SchedPolicy for MinResumePolicy {
 
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let n = dec.count(24)?;
-        let mut waiters: HashMap<SyncCond, VecDeque<WgId>> = HashMap::with_capacity(n);
+        let mut waiters = BTreeMap::new();
         for _ in 0..n {
             let cond = SyncCond {
                 addr: dec.u64()?,
@@ -181,7 +203,7 @@ impl SchedPolicy for MinResumePolicy {
             for _ in 0..m {
                 q.push_back(dec.u32()?);
             }
-            if waiters.insert(cond, q).is_some() {
+            if waiters.insert((cond.addr, cond.expected), q).is_some() {
                 return Err(CodecError::Invalid(format!(
                     "duplicate oracle condition {:#x}={}",
                     cond.addr, cond.expected
@@ -197,6 +219,7 @@ impl SchedPolicy for MinResumePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::CollectWakes;
     use awg_mem::{L2Config, L2};
 
     fn fail(wg: WgId, addr: u64, expected: i64) -> SyncFail {
@@ -233,7 +256,7 @@ mod tests {
             p.on_sync_fail(&mut ctx, &fail(1, 64, 1));
             // Condition does not hold yet: updates to other values wake none.
             ctx.l2.backing_mut().store(64, 5);
-            let wakes = p.on_monitored_update(
+            let wakes = p.update_wakes(
                 &mut ctx,
                 &MonitoredUpdate {
                     addr: 64,
@@ -247,7 +270,7 @@ mod tests {
             assert!(wakes.is_empty());
             // Now it holds: one waiter per release step.
             ctx.l2.backing_mut().store(64, 1);
-            let wakes = p.on_monitored_update(
+            let wakes = p.update_wakes(
                 &mut ctx,
                 &MonitoredUpdate {
                     addr: 64,
@@ -260,9 +283,56 @@ mod tests {
             );
             assert_eq!(wakes.len(), 1);
             // The stagger tick trickles the next one.
-            let wakes = p.on_cp_tick(&mut ctx);
+            let wakes = p.tick_wakes(&mut ctx);
             assert_eq!(wakes.len(), 1);
-            assert!(p.on_cp_tick(&mut ctx).is_empty(), "queue drained");
+            assert!(p.tick_wakes(&mut ctx).is_empty(), "queue drained");
+        });
+    }
+
+    #[test]
+    fn a_write_releases_one_waiter_per_held_condition_in_key_order() {
+        const A: u64 = 64;
+        const B: u64 = 128;
+        let mut p = MinResumePolicy::new();
+        with_ctx!(ctx, {
+            // Two expected values on each of two lines, registered out of
+            // key order.
+            for (wg, addr, expected) in [
+                (10, B, 1),
+                (11, B, 1),
+                (12, B, 2),
+                (1, A, 2),
+                (2, A, 2),
+                (0, A, 1),
+            ] {
+                p.on_sync_fail(&mut ctx, &fail(wg, addr, expected));
+            }
+            let mut write = |ctx: &mut PolicyCtx<'_>, a: i64, b: i64| {
+                ctx.l2.backing_mut().store(A, a);
+                ctx.l2.backing_mut().store(B, b);
+                let update = MonitoredUpdate {
+                    addr: A,
+                    old: 0,
+                    new: a,
+                    wrote: true,
+                    monitored: true,
+                    by_wg: 99,
+                };
+                p.update_wakes(ctx, &update)
+            };
+            let wgs = |wakes: Vec<Wake>| wakes.into_iter().map(|w| w.wg).collect::<Vec<_>>();
+
+            // (A,2) and (B,1) hold: one waiter each, A's first.
+            assert_eq!(wgs(write(&mut ctx, 2, 1)), vec![1, 10]);
+            assert!(ctx.l2.is_monitored(A) && ctx.l2.is_monitored(B));
+            // (A,1) and (B,2) empty, but each line keeps a condition.
+            assert_eq!(wgs(write(&mut ctx, 1, 2)), vec![0, 12]);
+            assert!(ctx.l2.is_monitored(A), "(A,2) still waits");
+            assert!(ctx.l2.is_monitored(B), "(B,1) still waits");
+            // The last condition on each line empties: both bits clear.
+            assert_eq!(wgs(write(&mut ctx, 2, 1)), vec![2, 11]);
+            assert!(!ctx.l2.is_monitored(A) && !ctx.l2.is_monitored(B));
+            assert!(write(&mut ctx, 1, 2).is_empty(), "nobody left");
         });
     }
 
@@ -274,7 +344,7 @@ mod tests {
             p.on_sync_fail(&mut ctx, &f);
             assert_eq!(p.on_wait_timeout(&mut ctx, 0, &f.cond), TimeoutAction::Wake);
             ctx.l2.backing_mut().store(64, 1);
-            assert!(p.on_cp_tick(&mut ctx).is_empty());
+            assert!(p.tick_wakes(&mut ctx).is_empty());
         });
     }
 }

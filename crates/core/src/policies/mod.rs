@@ -34,6 +34,40 @@ pub use timeout::TimeoutPolicy;
 
 use awg_gpu::SchedPolicy;
 
+/// Test shorthand for the hooks that append wakes to the machine's buffer:
+/// each runs the hook on a fresh buffer and returns it.
+#[cfg(test)]
+pub(crate) trait CollectWakes: SchedPolicy {
+    fn update_wakes(
+        &mut self,
+        ctx: &mut awg_gpu::PolicyCtx<'_>,
+        update: &awg_gpu::MonitoredUpdate,
+    ) -> Vec<awg_gpu::Wake> {
+        let mut wakes = Vec::new();
+        self.on_monitored_update(ctx, update, &mut wakes);
+        wakes
+    }
+
+    fn tick_wakes(&mut self, ctx: &mut awg_gpu::PolicyCtx<'_>) -> Vec<awg_gpu::Wake> {
+        let mut wakes = Vec::new();
+        self.on_cp_tick(ctx, &mut wakes);
+        wakes
+    }
+
+    fn fault_wakes(
+        &mut self,
+        ctx: &mut awg_gpu::PolicyCtx<'_>,
+        fault: &awg_gpu::PolicyFault,
+    ) -> Vec<awg_gpu::Wake> {
+        let mut wakes = Vec::new();
+        self.on_fault(ctx, fault, &mut wakes);
+        wakes
+    }
+}
+
+#[cfg(test)]
+impl<P: SchedPolicy + ?Sized> CollectWakes for P {}
+
 /// Fallback timeout used by the monitor policies when a notification may
 /// never arrive (racy `wait` instructions; MonNR-One leftover waiters).
 pub const DEFAULT_FALLBACK_TIMEOUT: u64 = 50_000;

@@ -5,7 +5,8 @@ use awg_gpu::{
     MonitorEntrySnapshot, PolicyCtx, PolicyFault, SyncCond, WaiterRecord, WaiterStructure, Wake,
     WgId,
 };
-use awg_sim::{CodecError, Dec, Enc, FastMap, Stats};
+use awg_mem::Addr;
+use awg_sim::{CodecError, Dec, Enc, FastMap, HistId, Stats};
 
 use crate::cp::Cp;
 use crate::monitorlog::{LogEntry, MonitorLog};
@@ -40,6 +41,11 @@ pub struct MonitorCore {
     pub cp: Cp,
     /// Where each waiting WG is tracked (for timeout/finish cleanup).
     tracked: FastMap<WgId, (SyncCond, TrackOutcome)>,
+    /// Reused buffer for the conditions one notification wakes.
+    conds: Vec<SyncCond>,
+    /// `monitor_wake_batch_size` in the run's registry, resolved at the
+    /// first wake; [`MonitorCore::load`] clears it.
+    batch_hist: Option<HistId>,
     mesa_retries: u64,
     wakes_issued: u64,
     chaos_evicted_waiters: u64,
@@ -64,6 +70,8 @@ impl MonitorCore {
             log: MonitorLog::new(log_capacity),
             cp: Cp::new(),
             tracked: FastMap::default(),
+            conds: Vec::new(),
+            batch_hist: None,
             mesa_retries: 0,
             wakes_issued: 0,
             chaos_evicted_waiters: 0,
@@ -99,27 +107,57 @@ impl MonitorCore {
         }
     }
 
-    /// Pops up to `limit` cached waiters of `cond` as wakes, maintaining the
-    /// monitored bit.
+    /// Pops up to `limit` cached waiters of `cond`, appending them to
+    /// `wakes` as immediate wakes, and maintains the monitored bit.
+    /// Returns how many it woke.
     pub fn wake_cached(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         cond: &SyncCond,
         limit: usize,
-    ) -> Vec<Wake> {
-        let wgs = self.syncmon.take_waiters(cond, limit);
-        for &wg in &wgs {
-            self.tracked.remove(&wg);
-        }
-        self.wakes_issued += wgs.len() as u64;
-        if !wgs.is_empty() {
-            let h = ctx.stats.hist("monitor_wake_batch_size");
-            ctx.stats.observe(h, wgs.len() as u64);
+        wakes: &mut Vec<Wake>,
+    ) -> usize {
+        let tracked = &mut self.tracked;
+        let woken = self.syncmon.take_waiters_with(cond, limit, |wg| {
+            tracked.remove(&wg);
+            wakes.push(Wake::now(wg));
+        });
+        self.wakes_issued += woken as u64;
+        if woken > 0 {
+            let h = *self
+                .batch_hist
+                .get_or_insert_with(|| ctx.stats.hist("monitor_wake_batch_size"));
+            ctx.stats.observe(h, woken as u64);
         }
         if !self.syncmon.addr_has_conditions(cond.addr) {
             ctx.l2.clear_monitored(cond.addr);
         }
-        wgs.into_iter().map(Wake::now).collect()
+        woken
+    }
+
+    /// Wakes up to `limit` cached waiters of each condition on `addr`:
+    /// those `value` meets, or with `value == None` all of them (sporadic
+    /// notification, values unchecked). Appends the wakes to `wakes` and
+    /// returns how many it woke.
+    pub(crate) fn wake_conditions(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        addr: Addr,
+        value: Option<i64>,
+        limit: usize,
+        wakes: &mut Vec<Wake>,
+    ) -> usize {
+        let mut conds = std::mem::take(&mut self.conds);
+        match value {
+            Some(v) => self.syncmon.conditions_met_into(addr, v, &mut conds),
+            None => self.syncmon.conditions_on_addr_into(addr, &mut conds),
+        }
+        let mut woken = 0;
+        for cond in conds.drain(..) {
+            woken += self.wake_cached(ctx, &cond, limit, wakes);
+        }
+        self.conds = conds;
+        woken
     }
 
     /// Removes `wg`'s registration wherever it lives (timeout wake, finish).
@@ -162,8 +200,8 @@ impl MonitorCore {
     }
 
     /// The CP firmware tick: drain the log, check spilled conditions with
-    /// timed reads, and wake the WGs whose conditions hold.
-    pub fn cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
+    /// timed reads, and append to `wakes` the WGs whose conditions hold.
+    pub fn cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
         let entries = self.log.drain(ctx.l2, ctx.now, CP_DRAIN_PER_TICK);
         // Drop entries whose WG is no longer waiting (timeout already woke it).
         let live: Vec<LogEntry> = entries
@@ -176,15 +214,12 @@ impl MonitorCore {
             .collect();
         self.cp.absorb(live);
         let met = self.cp.check_conditions(ctx.l2, ctx.now);
-        let mut wakes = Vec::with_capacity(met.len());
-        for (cond, wg) in met {
+        for (_, wg) in met {
             if self.tracked.remove(&wg).is_some() {
                 self.wakes_issued += 1;
-                let _ = cond;
                 wakes.push(Wake::now(wg));
             }
         }
-        wakes
     }
 
     /// Applies a chaos-engine fault to the monitor hardware. Eviction cuts
@@ -192,8 +227,8 @@ impl MonitorCore {
     /// anywhere afterwards, so only their fallback timeouts can rescue
     /// them, which is exactly the liveness property under test. Bloom
     /// storms inflate unique-update counts to force false positives in
-    /// AWG's resume predictor.
-    pub fn inject_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
+    /// AWG's resume predictor. Wakes no one.
+    pub fn inject_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) {
         match *fault {
             PolicyFault::EvictConditions { count } => {
                 for (cond, wgs) in self.syncmon.evict_conditions(count) {
@@ -210,7 +245,6 @@ impl MonitorCore {
                 self.chaos_bloom_pollutions += self.syncmon.pollute_blooms(unique_values) as u64;
             }
         }
-        Vec::new()
     }
 
     /// Live SyncMon condition entries, for forensic hang reports.
@@ -253,8 +287,10 @@ impl MonitorCore {
     }
 
     /// Restores state saved by [`MonitorCore::save`] onto a stack with
-    /// matching geometry.
+    /// matching geometry. The machine restores its statistics registry
+    /// alongside, so the cached histogram handle is dropped.
     pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.batch_hist = None;
         self.syncmon.load(dec)?;
         self.log.load(dec)?;
         self.cp.load(dec)?;
@@ -365,11 +401,12 @@ mod tests {
         let mut ctx = ctx(&mut l2, &mut stats);
         core.track(&mut ctx, cond(64, 1), 0);
         core.track(&mut ctx, cond(64, 1), 1);
-        let wakes = core.wake_cached(&mut ctx, &cond(64, 1), 1);
+        let mut wakes = Vec::new();
+        assert_eq!(core.wake_cached(&mut ctx, &cond(64, 1), 1, &mut wakes), 1);
         assert_eq!(wakes, vec![Wake::now(0)]);
         assert!(ctx.l2.is_monitored(64), "still one waiter");
-        let wakes = core.wake_cached(&mut ctx, &cond(64, 1), 8);
-        assert_eq!(wakes, vec![Wake::now(1)]);
+        assert_eq!(core.wake_cached(&mut ctx, &cond(64, 1), 8, &mut wakes), 1);
+        assert_eq!(wakes, vec![Wake::now(0), Wake::now(1)], "appends");
         assert!(!ctx.l2.is_monitored(64), "last waiter clears the bit");
     }
 
@@ -403,10 +440,12 @@ mod tests {
         assert_eq!(core.track(&mut ctx, cond(64, 1), 0), TrackOutcome::Cached);
         assert_eq!(core.track(&mut ctx, cond(128, 2), 1), TrackOutcome::Spilled);
         // CP tick with the condition unmet: no wakes.
-        assert!(core.cp_tick(&mut ctx).is_empty());
+        let mut wakes = Vec::new();
+        core.cp_tick(&mut ctx, &mut wakes);
+        assert!(wakes.is_empty());
         // Make it hold and tick again.
         ctx.l2.backing_mut().store(128, 2);
-        let wakes = core.cp_tick(&mut ctx);
+        core.cp_tick(&mut ctx, &mut wakes);
         assert_eq!(wakes, vec![Wake::now(1)]);
         assert!(core.tracking_of(1).is_none());
     }
@@ -451,10 +490,9 @@ mod tests {
         core.track(&mut ctx, cond(128, 2), 1); // spilled
         core.untrack(&mut ctx, 1); // timeout woke it first
         ctx.l2.backing_mut().store(128, 2);
-        assert!(
-            core.cp_tick(&mut ctx).is_empty(),
-            "stale entry must not wake"
-        );
+        let mut wakes = Vec::new();
+        core.cp_tick(&mut ctx, &mut wakes);
+        assert!(wakes.is_empty(), "stale entry must not wake");
     }
 
     #[test]

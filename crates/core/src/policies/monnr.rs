@@ -64,20 +64,19 @@ impl MonNr {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         if !update.wrote || !update.monitored {
-            return Vec::new();
+            return;
         }
         let limit = match self.flavor {
             ResumeFlavor::All => usize::MAX,
             ResumeFlavor::One => 1,
         };
-        let mut wakes = Vec::new();
-        for cond in self.core.syncmon.conditions_met(update.addr, update.new) {
-            wakes.extend(self.core.wake_cached(ctx, &cond, limit));
-        }
-        self.met_wakes += wakes.len() as u64;
-        wakes
+        let woken = self
+            .core
+            .wake_conditions(ctx, update.addr, Some(update.new), limit, wakes);
+        self.met_wakes += woken as u64;
     }
 
     fn on_wait_timeout(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) -> TimeoutAction {
@@ -136,8 +135,9 @@ impl SchedPolicy for MonNrAllPolicy {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        self.0.on_monitored_update(ctx, update)
+        wakes: &mut Vec<Wake>,
+    ) {
+        self.0.on_monitored_update(ctx, update, wakes);
     }
 
     fn on_wait_timeout(
@@ -157,12 +157,12 @@ impl SchedPolicy for MonNrAllPolicy {
         Some(DEFAULT_CP_TICK)
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.0.core.cp_tick(ctx)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.0.core.cp_tick(ctx, wakes);
     }
 
-    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
-        self.0.core.inject_fault(ctx, fault)
+    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault, _wakes: &mut Vec<Wake>) {
+        self.0.core.inject_fault(ctx, fault);
     }
 
     fn monitor_snapshot(&self) -> Vec<MonitorEntrySnapshot> {
@@ -227,8 +227,9 @@ impl SchedPolicy for MonNrOnePolicy {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        self.0.on_monitored_update(ctx, update)
+        wakes: &mut Vec<Wake>,
+    ) {
+        self.0.on_monitored_update(ctx, update, wakes);
     }
 
     fn on_wait_timeout(
@@ -248,12 +249,12 @@ impl SchedPolicy for MonNrOnePolicy {
         Some(DEFAULT_CP_TICK)
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.0.core.cp_tick(ctx)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.0.core.cp_tick(ctx, wakes);
     }
 
-    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
-        self.0.core.inject_fault(ctx, fault)
+    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault, _wakes: &mut Vec<Wake>) {
+        self.0.core.inject_fault(ctx, fault);
     }
 
     fn monitor_snapshot(&self) -> Vec<MonitorEntrySnapshot> {
@@ -282,6 +283,7 @@ impl SchedPolicy for MonNrOnePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::CollectWakes;
     use awg_mem::{L2Config, L2};
 
     fn fail(wg: WgId, addr: u64, expected: i64) -> SyncFail {
@@ -328,7 +330,7 @@ mod tests {
             for wg in 0..4 {
                 p.on_sync_fail(&mut ctx, &fail(wg, 64, 1));
             }
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 1));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 1));
             assert_eq!(wakes.len(), 4);
             assert!(!ctx.l2.is_monitored(64));
         });
@@ -341,12 +343,12 @@ mod tests {
             for wg in 0..4 {
                 p.on_sync_fail(&mut ctx, &fail(wg, 64, 1));
             }
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 1));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 1));
             assert_eq!(wakes.len(), 1);
             assert_eq!(wakes[0].wg, 0, "FIFO order");
             assert!(ctx.l2.is_monitored(64), "remaining waiters keep the bit");
             // A second met update wakes the next one.
-            let wakes = p.on_monitored_update(&mut ctx, &update(64, 1));
+            let wakes = p.update_wakes(&mut ctx, &update(64, 1));
             assert_eq!(wakes[0].wg, 1);
         });
     }
@@ -356,7 +358,7 @@ mod tests {
         let mut p = MonNrAllPolicy::new();
         with_ctx!(ctx, {
             p.on_sync_fail(&mut ctx, &fail(0, 64, 1));
-            assert!(p.on_monitored_update(&mut ctx, &update(64, 7)).is_empty());
+            assert!(p.update_wakes(&mut ctx, &update(64, 7)).is_empty());
         });
     }
 
@@ -366,7 +368,7 @@ mod tests {
         with_ctx!(ctx, {
             p.on_sync_fail(&mut ctx, &fail(0, 64, 1));
             p.on_sync_fail(&mut ctx, &fail(1, 64, 1));
-            p.on_monitored_update(&mut ctx, &update(64, 1)); // wakes 0
+            p.update_wakes(&mut ctx, &update(64, 1)); // wakes 0
             let cond = SyncCond {
                 addr: 64,
                 expected: 1,

@@ -70,16 +70,15 @@ impl SchedPolicy for MonRAllPolicy {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         if !update.wrote || !update.monitored {
-            return Vec::new();
+            return;
         }
-        let mut wakes = Vec::new();
-        for cond in self.core.syncmon.conditions_met(update.addr, update.new) {
-            wakes.extend(self.core.wake_cached(ctx, &cond, usize::MAX));
-        }
-        self.met_wakes += wakes.len() as u64;
-        wakes
+        let woken =
+            self.core
+                .wake_conditions(ctx, update.addr, Some(update.new), usize::MAX, wakes);
+        self.met_wakes += woken as u64;
     }
 
     fn on_wait_timeout(
@@ -100,12 +99,12 @@ impl SchedPolicy for MonRAllPolicy {
         Some(DEFAULT_CP_TICK)
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.core.cp_tick(ctx)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.core.cp_tick(ctx, wakes);
     }
 
-    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
-        self.core.inject_fault(ctx, fault)
+    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault, _wakes: &mut Vec<Wake>) {
+        self.core.inject_fault(ctx, fault);
     }
 
     fn monitor_snapshot(&self) -> Vec<MonitorEntrySnapshot> {
@@ -137,6 +136,7 @@ impl SchedPolicy for MonRAllPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::CollectWakes;
     use awg_mem::{L2Config, L2};
 
     fn fail(wg: WgId, addr: u64, expected: i64) -> SyncFail {
@@ -167,7 +167,7 @@ mod tests {
         p.on_sync_fail(&mut ctx, &fail(2, 64, 2));
 
         // Read access: no wakes (unlike MonRS).
-        let wakes = p.on_monitored_update(
+        let wakes = p.update_wakes(
             &mut ctx,
             &MonitoredUpdate {
                 addr: 64,
@@ -181,7 +181,7 @@ mod tests {
         assert!(wakes.is_empty());
 
         // Write of 2 wakes exactly the two waiters expecting 2.
-        let wakes = p.on_monitored_update(
+        let wakes = p.update_wakes(
             &mut ctx,
             &MonitoredUpdate {
                 addr: 64,

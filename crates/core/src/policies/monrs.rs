@@ -72,18 +72,17 @@ impl SchedPolicy for MonRsAllPolicy {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         // Sporadic: any access to a *monitored* address wakes every waiter
         // on it, values unchecked.
         if !update.monitored {
-            return Vec::new();
+            return;
         }
-        let mut wakes = Vec::new();
-        for cond in self.core.syncmon.conditions_on_addr(update.addr) {
-            wakes.extend(self.core.wake_cached(ctx, &cond, usize::MAX));
-        }
-        self.sporadic_wakes += wakes.len() as u64;
-        wakes
+        let woken = self
+            .core
+            .wake_conditions(ctx, update.addr, None, usize::MAX, wakes);
+        self.sporadic_wakes += woken as u64;
     }
 
     fn on_wait_timeout(
@@ -104,12 +103,12 @@ impl SchedPolicy for MonRsAllPolicy {
         Some(DEFAULT_CP_TICK)
     }
 
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.core.cp_tick(ctx)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.core.cp_tick(ctx, wakes);
     }
 
-    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault) -> Vec<Wake> {
-        self.core.inject_fault(ctx, fault)
+    fn on_fault(&mut self, ctx: &mut PolicyCtx<'_>, fault: &PolicyFault, _wakes: &mut Vec<Wake>) {
+        self.core.inject_fault(ctx, fault);
     }
 
     fn monitor_snapshot(&self) -> Vec<MonitorEntrySnapshot> {
@@ -141,6 +140,7 @@ impl SchedPolicy for MonRsAllPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::CollectWakes;
     use awg_mem::{L2Config, L2};
 
     fn setup() -> (L2, Stats) {
@@ -178,7 +178,7 @@ mod tests {
         p.on_sync_fail(&mut ctx, &fail(0, 64, 1));
         p.on_sync_fail(&mut ctx, &fail(1, 64, 2));
         // A read-only access (wrote=false, value unchanged) still wakes both.
-        let wakes = p.on_monitored_update(
+        let wakes = p.update_wakes(
             &mut ctx,
             &MonitoredUpdate {
                 addr: 64,
@@ -218,7 +218,7 @@ mod tests {
         p.on_sync_fail(&mut ctx, &f);
         assert_eq!(p.on_wait_timeout(&mut ctx, 0, &f.cond), TimeoutAction::Wake);
         // After untracking, updates wake nobody.
-        let wakes = p.on_monitored_update(
+        let wakes = p.update_wakes(
             &mut ctx,
             &MonitoredUpdate {
                 addr: 64,

@@ -240,14 +240,20 @@ impl SyncMon {
             .map(|e| e.registered_at)
     }
 
-    /// Pops up to `limit` waiters of `cond` (FIFO). The entry is freed when
-    /// its last waiter leaves.
-    pub fn take_waiters(&mut self, cond: &SyncCond, limit: usize) -> Vec<WgId> {
+    /// Pops up to `limit` waiters of `cond` (FIFO), handing each to
+    /// `visit` in pop order, and returns how many it popped. The entry is
+    /// freed when its last waiter leaves.
+    pub(crate) fn take_waiters_with(
+        &mut self,
+        cond: &SyncCond,
+        limit: usize,
+        mut visit: impl FnMut(WgId),
+    ) -> usize {
         let Some(slot) = self.find_entry(cond) else {
-            return Vec::new();
+            return 0;
         };
-        let mut out = Vec::new();
-        while out.len() < limit {
+        let mut taken = 0;
+        while taken < limit {
             let entry = self.entries[slot].as_mut().expect("entry exists");
             let Some(h) = entry.head else { break };
             let node = self.pool[h as usize].take().expect("head valid");
@@ -258,37 +264,63 @@ impl SyncMon {
                 entry.tail = None;
             }
             entry.waiters -= 1;
-            out.push(node.wg);
+            taken += 1;
+            visit(node.wg);
         }
         if self.entries[slot].is_some_and(|e| e.waiters == 0) {
             self.remove_entry(slot);
         }
+        taken
+    }
+
+    /// Pops up to `limit` waiters of `cond` (FIFO) and returns them. The
+    /// entry is freed when its last waiter leaves.
+    pub fn take_waiters(&mut self, cond: &SyncCond, limit: usize) -> Vec<WgId> {
+        let mut out = Vec::new();
+        self.take_waiters_with(cond, limit, |wg| out.push(wg));
         out
     }
 
-    /// Conditions cached for `addr` whose expected value equals `new_value`
-    /// (the condition-checking monitor lookup, MonR/MonNR/AWG).
-    pub fn conditions_met(&self, addr: Addr, new_value: i64) -> Vec<SyncCond> {
-        self.addr_index
-            .get(&addr)
-            .into_iter()
-            .flatten()
-            .filter_map(|&slot| self.entries[slot])
-            .filter(|e| e.cond.expected == new_value)
-            .map(|e| e.cond)
-            .collect()
+    /// Appends to `out` the conditions cached for `addr` whose expected
+    /// value equals `new_value` (the condition-checking monitor lookup,
+    /// MonR/MonNR/AWG), in the address's registration order.
+    pub(crate) fn conditions_met_into(&self, addr: Addr, new_value: i64, out: &mut Vec<SyncCond>) {
+        out.extend(
+            self.conditions_of(addr)
+                .filter(|cond| cond.expected == new_value),
+        );
     }
 
-    /// All conditions cached for `addr` (sporadic MonRS notifications
-    /// resume every waiter on the address without checking values).
+    /// The conditions cached for `addr` whose expected value equals
+    /// `new_value`, in the address's registration order.
+    pub fn conditions_met(&self, addr: Addr, new_value: i64) -> Vec<SyncCond> {
+        let mut out = Vec::new();
+        self.conditions_met_into(addr, new_value, &mut out);
+        out
+    }
+
+    /// Appends to `out` every condition cached for `addr` (sporadic MonRS
+    /// notifications resume every waiter on the address without checking
+    /// values), in the address's registration order.
+    pub(crate) fn conditions_on_addr_into(&self, addr: Addr, out: &mut Vec<SyncCond>) {
+        out.extend(self.conditions_of(addr));
+    }
+
+    /// Every condition cached for `addr`, in the address's registration
+    /// order.
     pub fn conditions_on_addr(&self, addr: Addr) -> Vec<SyncCond> {
+        let mut out = Vec::new();
+        self.conditions_on_addr_into(addr, &mut out);
+        out
+    }
+
+    fn conditions_of(&self, addr: Addr) -> impl Iterator<Item = SyncCond> + '_ {
         self.addr_index
             .get(&addr)
             .into_iter()
             .flatten()
             .filter_map(|&slot| self.entries[slot])
             .map(|e| e.cond)
-            .collect()
     }
 
     /// Whether any condition on `addr` remains cached (monitored-bit
@@ -662,6 +694,31 @@ mod tests {
         assert_eq!(met, vec![cond(64, 1)]);
         assert_eq!(m.conditions_on_addr(64).len(), 2);
         assert!(m.conditions_met(64, 9).is_empty());
+    }
+
+    #[test]
+    fn buffer_and_visitor_forms_match_the_vec_forms() {
+        let mut m = SyncMon::new(SyncMonConfig::isca2020());
+        m.register(cond(64, 1), 0, 0);
+        m.register(cond(64, 2), 1, 0);
+        m.register(cond(64, 1), 2, 0);
+        let mut out = vec![cond(8, 8)];
+        m.conditions_met_into(64, 1, &mut out);
+        assert_eq!(
+            out,
+            vec![cond(8, 8), cond(64, 1)],
+            "appends, keeps what was there"
+        );
+        out.clear();
+        m.conditions_on_addr_into(64, &mut out);
+        assert_eq!(out, m.conditions_on_addr(64));
+        let mut seen = Vec::new();
+        assert_eq!(m.take_waiters_with(&cond(64, 1), 1, |wg| seen.push(wg)), 1);
+        assert_eq!(seen, vec![0]);
+        assert_eq!(m.take_waiters_with(&cond(64, 1), 9, |wg| seen.push(wg)), 1);
+        assert_eq!(seen, vec![0, 2]);
+        assert_eq!(m.take_waiters_with(&cond(64, 1), 9, |_| panic!("freed")), 0);
+        assert_eq!(m.conditions_on_addr(64), vec![cond(64, 2)]);
     }
 
     #[test]

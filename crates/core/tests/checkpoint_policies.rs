@@ -13,11 +13,12 @@ use std::path::PathBuf;
 
 use awg_core::policies::{build_policy, ChaosMode, ChaosWrap, MonNrAllPolicy, PolicyKind};
 use awg_gpu::{
-    read_checkpoint, restore_into, CheckpointSpec, Gpu, GpuConfig, Kernel, SchedPolicy, SimError,
-    SyncStyle, WgResources,
+    read_checkpoint, restore_into, CheckpointSpec, Gpu, GpuConfig, Kernel, RunOutcome, SchedPolicy,
+    SimError, SyncStyle, TraceEvent, WgResources,
 };
 use awg_isa::{Cond, Operand, ProgramBuilder, Reg};
 use awg_mem::AtomicOp;
+use awg_sim::{Stats, TelemetryConfig};
 
 const LOCK: u64 = 4096;
 const COUNTER: u64 = 8192;
@@ -212,4 +213,100 @@ fn snapshot_refused_by_different_policy() {
     let err = restore_into(&mut wrong, &image, IDENTITY).unwrap_err();
     assert!(matches!(err, SimError::CorruptCheckpoint(_)), "{err}");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// AWG on `mutex_kernel` with two WGs per CU, so the 24 WGs oversubscribe
+/// the 8 CUs: waiters stall on the predicted latency, then switch out.
+/// Telemetry is on, so its hub records into a registry of its own.
+fn oversubscribed_awg(config: GpuConfig) -> Gpu {
+    let mut kernel = mutex_kernel(SyncStyle::WaitingAtomic);
+    kernel.resources.wavefronts = 20;
+    let mut gpu = Gpu::new(config, kernel, build_policy(PolicyKind::Awg));
+    gpu.enable_telemetry(TelemetryConfig {
+        snapshot_window: None,
+        profiling: false,
+    });
+    gpu
+}
+
+/// Every counter, distribution and histogram, in registration order.
+fn stat_lines(stats: &Stats) -> Vec<String> {
+    let mut lines: Vec<String> = stats.counters().map(|(n, v)| format!("{n} {v}")).collect();
+    lines.extend(stats.dists().map(|(n, d)| format!("{n} {d:?}")));
+    lines.extend(stats.hists().map(|(n, b)| format!("{n} {b:?}")));
+    lines
+}
+
+#[test]
+fn restore_into_a_machine_that_ran_re_resolves_stat_handles() {
+    // Per-event paths (the machine, the monitor, AWG, the telemetry hub)
+    // keep handles into the registry they record into. Restoring a
+    // snapshot swaps the registry, so handles resolved by an earlier run
+    // of the same machine must not survive it.
+    let baseline = GpuConfig::isca2020_baseline();
+    let mut traced = oversubscribed_awg(baseline.clone());
+    traced.enable_trace();
+    assert!(traced.run().is_completed());
+    let records = traced.trace_records();
+    let count = |kind: fn(&TraceEvent) -> bool| records.iter().filter(|r| kind(&r.event)).count();
+    assert!(
+        count(|e| matches!(e, TraceEvent::Resume)) >= 5,
+        "several wakes"
+    );
+    assert!(
+        count(|e| matches!(e, TraceEvent::SwapOutStart)) >= 1,
+        "a switch"
+    );
+    let first_wait = records
+        .iter()
+        .find(|r| matches!(r.event, TraceEvent::Stall))
+        .expect("a WG waits")
+        .cycle;
+
+    let mut reference = oversubscribed_awg(baseline.clone());
+    let want = reference.run();
+    assert!(want.is_completed(), "{want:?}");
+    let want_lines = stat_lines(&want.summary().stats);
+    for name in [
+        "wait_episode_cycles",
+        "monitor_wake_batch_size",
+        "awg_met_latency_cycles",
+        "awg_predicted_stall_cycles",
+        "telemetry_wake_to_resume_cycles",
+        "telemetry_ctx_out_total_cycles",
+        "telemetry_ctx_in_total_cycles",
+    ] {
+        let recorded = want_lines
+            .iter()
+            .any(|l| l.starts_with(&format!("{name} ")));
+        assert!(recorded, "{name} is recorded per event");
+    }
+
+    // Snapshot before the first wait: the first event at or past it
+    // triggers the checkpoint, then trips the cycle cap unhandled.
+    let path = ckpt_path("before_first_wait");
+    let mut capped = baseline.clone();
+    capped.max_cycles = first_wait - 1;
+    let mut writer = oversubscribed_awg(capped);
+    writer.set_checkpoint(CheckpointSpec {
+        path: path.clone(),
+        every: first_wait,
+        identity: IDENTITY,
+        kill_after: None,
+    });
+    assert!(matches!(writer.run(), RunOutcome::CycleLimit { .. }));
+    assert_eq!(writer.checkpoints_written(), 1);
+    let image = read_checkpoint(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert!(image.cycle < first_wait);
+
+    // This machine resolved every per-event handle in its first run; the
+    // early registry it then restores has none of those names yet.
+    let mut gpu = oversubscribed_awg(baseline);
+    assert!(gpu.run().is_completed());
+    restore_into(&mut gpu, &image, IDENTITY).unwrap();
+    let got = gpu.run();
+    assert!(got.is_completed(), "{got:?}");
+    assert_eq!(got.summary().cycles, want.summary().cycles);
+    assert_eq!(stat_lines(&got.summary().stats), want_lines);
 }

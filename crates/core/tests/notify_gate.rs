@@ -38,13 +38,14 @@ impl<P: SchedPolicy> SchedPolicy for Counting<P> {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         if update.monitored {
             self.monitored += 1;
         } else {
             self.unmonitored += 1;
         }
-        self.inner.on_monitored_update(ctx, update)
+        self.inner.on_monitored_update(ctx, update, wakes);
     }
     fn observes_unmonitored_writes(&self) -> bool {
         self.inner.observes_unmonitored_writes()
@@ -66,8 +67,8 @@ impl<P: SchedPolicy> SchedPolicy for Counting<P> {
     fn cp_tick_period(&self) -> Option<Cycle> {
         self.inner.cp_tick_period()
     }
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.inner.on_cp_tick(ctx)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.inner.on_cp_tick(ctx, wakes);
     }
     fn report(&self, stats: &mut Stats) {
         self.inner.report(stats);

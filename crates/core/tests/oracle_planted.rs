@@ -103,7 +103,8 @@ impl SchedPolicy for Planted {
         &mut self,
         ctx: &mut PolicyCtx<'_>,
         update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
+        wakes: &mut Vec<Wake>,
+    ) {
         if let Some(at) = self.armed_at {
             if update.by_wg != HIDDEN && ctx.now >= at + HIDE_AFTER {
                 self.armed_at = None;
@@ -112,7 +113,7 @@ impl SchedPolicy for Planted {
                 self.spent = true;
             }
         }
-        self.inner.on_monitored_update(ctx, update)
+        self.inner.on_monitored_update(ctx, update, wakes);
     }
     fn on_wait_timeout(
         &mut self,
@@ -138,8 +139,8 @@ impl SchedPolicy for Planted {
     fn cp_tick_period(&self) -> Option<Cycle> {
         self.inner.cp_tick_period()
     }
-    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        self.inner.on_cp_tick(ctx)
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.inner.on_cp_tick(ctx, wakes);
     }
     fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
         self.inner.for_each_waiter(&mut |wg, rec| {

@@ -17,8 +17,8 @@ use awg_sim::telemetry::{
     AttributionCause, SnapshotSample, Subsystem, SwapDir, ATTRIBUTION_CAUSES, PROGRESS_STATES,
 };
 use awg_sim::{
-    CodecError, Cycle, Dec, Enc, EventQueue, Fingerprint64, ProfileReport, Stats, TelemetryConfig,
-    TelemetryHub,
+    CodecError, Cycle, Dec, Enc, EventQueue, Fingerprint64, HistId, ProfileReport, Stats,
+    TelemetryConfig, TelemetryHub,
 };
 
 use crate::checkpoint::CheckpointSpec;
@@ -237,6 +237,13 @@ pub struct Gpu {
     now: Cycle,
     pub(crate) policy: Box<dyn SchedPolicy>,
     stats: Stats,
+    /// `wait_episode_cycles` in `stats`, resolved at the first wake
+    /// delivery; `load_state` replaces `stats` and clears it.
+    wait_episode_hist: Option<HistId>,
+    /// The wake buffer the policy hooks append to and
+    /// [`Gpu::apply_wakes`] drains; kept between calls for its capacity.
+    /// Always empty between events, so never serialized.
+    wake_buf: Vec<Wake>,
     pub(crate) pending: VecDeque<WgId>,
     pub(crate) ready: VecDeque<WgId>,
     pub(crate) finished: usize,
@@ -348,6 +355,8 @@ impl Gpu {
             now: 0,
             policy,
             stats: Stats::new(),
+            wait_episode_hist: None,
+            wake_buf: Vec::new(),
             pending,
             ready: VecDeque::new(),
             finished: 0,
@@ -624,6 +633,7 @@ impl Gpu {
         }
         self.policy.load_state(dec)?;
         self.stats = Stats::load(dec)?;
+        self.wait_episode_hist = None;
         let n_pending = dec.count(4)?;
         self.pending.clear();
         for _ in 0..n_pending {
@@ -1117,11 +1127,10 @@ impl Gpu {
             }
             WakeChaosMode::Duplicate => {
                 self.chaos.wakes_duplicated += wakes.len() as u64;
-                let dups: Vec<Wake> = wakes
-                    .iter()
-                    .map(|w| Wake::after(w.wg, w.delay + 13))
-                    .collect();
-                wakes.extend(dups);
+                for i in 0..wakes.len() {
+                    let w = wakes[i];
+                    wakes.push(Wake::after(w.wg, w.delay + 13));
+                }
             }
             WakeChaosMode::Reorder => {
                 if wakes.len() > 1 {
@@ -1135,13 +1144,27 @@ impl Gpu {
         }
     }
 
-    fn apply_wakes(&mut self, mut wakes: Vec<Wake>) {
+    /// Runs a policy hook that may wake WGs, handing it the machine's wake
+    /// buffer, then applies whatever it appended.
+    fn policy_wakes(
+        &mut self,
+        f: impl FnOnce(&mut dyn SchedPolicy, &mut PolicyCtx<'_>, &mut Vec<Wake>),
+    ) {
+        let mut wakes = std::mem::take(&mut self.wake_buf);
+        self.with_policy(|p, ctx| f(p, ctx, &mut wakes));
+        self.apply_wakes(&mut wakes);
+        self.wake_buf = wakes;
+    }
+
+    /// Schedules the deliveries of one policy call's `wakes`, draining the
+    /// buffer.
+    fn apply_wakes(&mut self, wakes: &mut Vec<Wake>) {
         if let Some(hot) = self.hotprof.as_mut() {
             hot.wake_scans += 1;
             hot.wakes_applied += wakes.len() as u64;
         }
-        self.perturb_wakes(&mut wakes);
-        for wake in wakes {
+        self.perturb_wakes(wakes);
+        for wake in wakes.drain(..) {
             let wg = wake.wg as usize;
             if self.oracle_on {
                 self.oracle.get_mut().shadow.touch(wake.wg);
@@ -1205,8 +1228,7 @@ impl Gpu {
         if !update.monitored && !self.policy.observes_unmonitored_writes() {
             return;
         }
-        let wakes = self.with_policy(|p, ctx| p.on_monitored_update(ctx, &update));
-        self.apply_wakes(wakes);
+        self.policy_wakes(|p, ctx, wakes| p.on_monitored_update(ctx, &update, wakes));
     }
 
     // ---------------------------------------------------------------------
@@ -1783,7 +1805,9 @@ impl Gpu {
     fn handle_wake(&mut self, wg: WgId) {
         let wgu = wg as usize;
         if let Some(since) = self.wgs[wgu].wait_since {
-            let h = self.stats.hist("wait_episode_cycles");
+            let h = *self
+                .wait_episode_hist
+                .get_or_insert_with(|| self.stats.hist("wait_episode_cycles"));
             self.stats.observe(h, self.now.saturating_sub(since));
         }
         let cond = self.wgs[wgu].cond;
@@ -1941,15 +1965,13 @@ impl Gpu {
             }
             FaultKind::Policy(fault) => {
                 self.chaos.policy_injections += 1;
-                let wakes = self.with_policy(|p, ctx| p.on_fault(ctx, &fault));
-                self.apply_wakes(wakes);
+                self.policy_wakes(|p, ctx, wakes| p.on_fault(ctx, &fault, wakes));
             }
         }
     }
 
     fn handle_cp_tick(&mut self) {
-        let wakes = self.with_policy(|p, ctx| p.on_cp_tick(ctx));
-        self.apply_wakes(wakes);
+        self.policy_wakes(|p, ctx, wakes| p.on_cp_tick(ctx, wakes));
         if let Some(period) = self.policy.cp_tick_period() {
             if (self.finished as u64) < self.kernel.num_wgs {
                 self.events.schedule(self.now + period, Event::CpTick);

@@ -595,8 +595,10 @@ impl Gpu {
     }
 
     /// Reads the policy's waiter registry into `into`, sorted by WG and
-    /// then by record, so a WG listed twice reads the same in every process
-    /// (MinResume's map visits in a per-process order).
+    /// then by record. Policies visit in their own maps' order (hash order
+    /// for the monitor policies, `(addr, expected)` order for MinResume),
+    /// so the sort is what puts a WG listed twice side by side and fixes
+    /// the order in which violations are reported.
     fn read_registry(&self, into: &mut Vec<(WgId, WaiterRecord)>) {
         into.clear();
         self.policy

@@ -7,6 +7,12 @@
 //! commits on a *monitored* L2 line, the policy is notified and may wake
 //! waiters; policies that opt in through
 //! [`SchedPolicy::observes_unmonitored_writes`] see every access.
+//!
+//! Wakes travel through a buffer the machine owns and reuses: the hooks
+//! that can wake WGs ([`SchedPolicy::on_monitored_update`],
+//! [`SchedPolicy::on_cp_tick`], [`SchedPolicy::on_fault`]) append
+//! [`Wake`]s to it, and the machine drains it right after the call, so a
+//! steady-state notification allocates nothing.
 //! All hardware state a policy needs — SyncMon condition caches, Bloom
 //! filters, the Monitor Log — lives inside the policy implementation (crate
 //! `awg-core`); the machine only executes its directives.
@@ -247,16 +253,17 @@ pub trait SchedPolicy {
     /// A WG's synchronization check failed; decide how it waits.
     fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective;
 
-    /// A store or atomic committed at the L2; return the WGs to wake. The
-    /// machine calls this only when the line was monitored, unless
-    /// [`Self::observes_unmonitored_writes`] holds. The default wakes no
-    /// one.
+    /// A store or atomic committed at the L2; append the WGs to wake to
+    /// `wakes`. The machine calls this only when the line was monitored,
+    /// unless [`Self::observes_unmonitored_writes`] holds. `wakes` may
+    /// already hold entries (a wrapper's own), which the policy must leave
+    /// as they are. The default wakes no one.
     fn on_monitored_update(
         &mut self,
         _ctx: &mut PolicyCtx<'_>,
         _update: &MonitoredUpdate,
-    ) -> Vec<Wake> {
-        Vec::new()
+        _wakes: &mut Vec<Wake>,
+    ) {
     }
 
     /// Whether [`Self::on_monitored_update`] must also see accesses to
@@ -290,17 +297,16 @@ pub trait SchedPolicy {
     }
 
     /// The CP's periodic firmware work (Monitor Log draining, spilled
-    /// condition checks). Returns WGs to wake.
-    fn on_cp_tick(&mut self, _ctx: &mut PolicyCtx<'_>) -> Vec<Wake> {
-        Vec::new()
-    }
+    /// condition checks). Appends WGs to wake to `wakes`, as
+    /// [`Self::on_monitored_update`] does.
+    fn on_cp_tick(&mut self, _ctx: &mut PolicyCtx<'_>, _wakes: &mut Vec<Wake>) {}
 
     /// The chaos engine injected a fault into this policy's hardware
-    /// structures. Returns WGs the policy chooses to wake in response
-    /// (e.g. waiters it can no longer track). Policies without monitor
+    /// structures. Appends to `wakes` the WGs the policy chooses to wake
+    /// in response (e.g. waiters it can no longer track), as
+    /// [`Self::on_monitored_update`] does. Policies without monitor
     /// hardware ignore faults.
-    fn on_fault(&mut self, _ctx: &mut PolicyCtx<'_>, _fault: &PolicyFault) -> Vec<Wake> {
-        Vec::new()
+    fn on_fault(&mut self, _ctx: &mut PolicyCtx<'_>, _fault: &PolicyFault, _wakes: &mut Vec<Wake>) {
     }
 
     /// Point-in-time view of the policy's live monitor entries, for
@@ -437,19 +443,20 @@ mod tests {
             via_wait_inst: false,
         };
         assert_eq!(p.on_sync_fail(&mut ctx, &fail), WaitDirective::Retry);
-        assert!(p
-            .on_monitored_update(
-                &mut ctx,
-                &MonitoredUpdate {
-                    addr: 64,
-                    old: 0,
-                    new: 1,
-                    wrote: true,
-                    monitored: true,
-                    by_wg: 1
-                }
-            )
-            .is_empty());
+        let mut wakes = Vec::new();
+        p.on_monitored_update(
+            &mut ctx,
+            &MonitoredUpdate {
+                addr: 64,
+                old: 0,
+                new: 1,
+                wrote: true,
+                monitored: true,
+                by_wg: 1,
+            },
+            &mut wakes,
+        );
+        assert!(wakes.is_empty());
         let mut stats = Stats::new();
         p.report(&mut stats);
         assert_eq!(stats.get_by_name("policy_sync_fails"), Some(1));

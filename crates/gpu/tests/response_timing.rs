@@ -1,9 +1,13 @@
 //! Timing of the response path, pinned to the machine configuration
-//! (Table 1): an atomic's issue-to-response time on a warm L2 line, and
-//! the bank ALU serializing atomics that contend for one line. Each
-//! expected figure is derived from `GpuConfig`, not measured.
+//! (Table 1): an atomic's issue-to-response time on a warm L2 line, the
+//! bank ALU serializing atomics that contend for one line, and a context
+//! save's DRAM traffic (Fig 5). Each expected figure is derived from
+//! `GpuConfig`, not measured.
 
-use awg_gpu::{BusyWaitPolicy, Gpu, GpuConfig, Kernel, TraceEvent, TraceRecord, WgResources};
+use awg_gpu::{
+    BusyWaitPolicy, Gpu, GpuConfig, Kernel, PolicyCtx, SchedPolicy, SyncFail, SyncStyle,
+    TraceEvent, TraceRecord, WaitDirective, WgResources,
+};
 use awg_isa::{Cond, Operand, ProgramBuilder, Reg, Special};
 use awg_sim::Cycle;
 
@@ -103,4 +107,82 @@ fn contending_atomics_commit_one_alu_occupancy_apart() {
             "atomic {k} of {CONTENDERS}: {trips:?}"
         );
     }
+}
+
+/// Busy-waiting that can redispatch a preempted WG, so a run that loses a
+/// CU still completes.
+#[derive(Debug, Default)]
+struct Rescheduling(BusyWaitPolicy);
+
+impl SchedPolicy for Rescheduling {
+    fn name(&self) -> &str {
+        "BusyWait+Resched"
+    }
+    fn style(&self) -> SyncStyle {
+        SyncStyle::Busy
+    }
+    fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
+        self.0.on_sync_fail(ctx, fail)
+    }
+}
+
+/// Context lines go out back to back on every channel at once: the first
+/// channel carries `ceil(lines / channels)` of them, one per service
+/// interval, and the last pays the idle latency; then the fixed switch
+/// overhead.
+fn swap_out_cycles(config: &GpuConfig, context_bytes: u64) -> Cycle {
+    let lines = context_bytes.div_ceil(64);
+    let per_channel = lines.div_ceil(config.dram.channels as u64);
+    (per_channel - 1) * config.dram.service_interval
+        + config.dram.latency
+        + config.ctx_switch_overhead
+}
+
+#[test]
+fn context_save_on_idle_dram_costs_its_line_traffic() {
+    let config = GpuConfig::isca2020_baseline();
+    // Fig 5's range: the default footprint, and one whose line count
+    // leaves the channels unevenly loaded.
+    let default = WgResources::default();
+    let uneven = WgResources {
+        lds_bytes: 5 * 64,
+        ..default
+    };
+    for resources in [default, uneven] {
+        // One WG computing, no memory traffic: losing its CU mid-compute
+        // saves the context at the end of the compute, on idle DRAM.
+        let mut b = ProgramBuilder::new("swap_out");
+        b.compute(5_000);
+        b.halt();
+        let kernel = Kernel::new(b.build().unwrap(), 1, resources);
+        let bytes = kernel.context_bytes(&config);
+        let mut gpu = Gpu::new(config.clone(), kernel, Box::new(Rescheduling::default()));
+        gpu.schedule_resource_loss(0, 1_000);
+        gpu.enable_trace();
+        assert!(gpu.run().is_completed());
+        let records = gpu.trace_records();
+        let at = |event: TraceEvent| {
+            let hits: Vec<Cycle> = records
+                .iter()
+                .filter(|r| r.event == event)
+                .map(|r| r.cycle)
+                .collect();
+            assert_eq!(hits.len(), 1, "{event:?}: {records:?}");
+            hits[0]
+        };
+        let (start, done) = (at(TraceEvent::SwapOutStart), at(TraceEvent::SwapOutDone));
+        assert_eq!(
+            done - start,
+            swap_out_cycles(&config, bytes),
+            "{bytes} B context"
+        );
+    }
+    assert_eq!(
+        swap_out_cycles(
+            &config,
+            WgResources::default().context_bytes(config.simd_width)
+        ),
+        (136 / 4 - 1) * 16 + 100 + 500,
+        "8.5 KB: 136 lines, 34 per channel"
+    );
 }

@@ -167,6 +167,15 @@ impl Cache {
     /// GPU L1s are write-through/write-allocate in the baseline model, and
     /// the L2 allocates atomics so their lines can be monitored).
     pub fn access(&mut self, addr: Addr) -> AccessOutcome {
+        self.access_monitored(addr).0
+    }
+
+    /// [`Cache::access`], also reporting what [`Cache::is_monitored`]
+    /// would answer right after it, from the same tag scan: a hit reports
+    /// the line's monitored bit, and a filled or bypassed line is never
+    /// monitored.
+    #[inline]
+    pub(crate) fn access_monitored(&mut self, addr: Addr) -> (AccessOutcome, bool) {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.index_tag(addr);
@@ -178,8 +187,9 @@ impl Cache {
         for way in slice.iter_mut() {
             if way.valid && way.tag == tag {
                 way.last_use = tick;
+                let monitored = way.monitored;
                 self.hits += 1;
-                return AccessOutcome::Hit;
+                return (AccessOutcome::Hit, monitored);
             }
         }
 
@@ -206,7 +216,7 @@ impl Cache {
         let Some(v) = victim else {
             debug_assert!(ways > 0);
             self.bypasses += 1;
-            return AccessOutcome::NoAllocate;
+            return (AccessOutcome::NoAllocate, false);
         };
         let evicted = if slice[v].valid {
             let old_tag = slice[v].tag;
@@ -222,7 +232,7 @@ impl Cache {
             last_use: tick,
         };
         self.misses += 1;
-        AccessOutcome::Miss { evicted }
+        (AccessOutcome::Miss { evicted }, false)
     }
 
     /// Whether the line containing `addr` is resident.

@@ -92,11 +92,32 @@ impl Dram {
     /// Issues a burst of `lines` consecutive line accesses starting at
     /// `base` (context save/restore traffic); returns the cycle when the
     /// last line completes.
+    ///
+    /// The result, the channel state and the counters equal `lines` calls
+    /// of [`Dram::access`] at `now`, one per line, but cost O(channels):
+    /// the `k` lines a channel receives start back to back at
+    /// `s = max(now, channel_free)`, so the channel is busy until
+    /// `s + k·service_interval`, its last line completes at
+    /// `s + (k − 1)·service_interval + latency`, and the lines queue for
+    /// `k·(s − now) + service_interval·k(k − 1)/2` cycles in total.
     pub fn access_burst(&mut self, now: Cycle, base: Addr, lines: u64) -> Cycle {
+        let channels = self.config.channels as u64;
+        let first = self.channel_of(base);
+        let service = self.config.service_interval;
         let mut done = now;
-        for i in 0..lines {
-            done = done.max(self.access(now, base + i * LINE_BYTES));
+        for (ch, free) in self.channel_free.iter_mut().enumerate() {
+            // Line `i` of the burst lands on channel `(first + i) % channels`.
+            let offset = (ch + self.config.channels - first) as u64 % channels;
+            if offset >= lines {
+                continue;
+            }
+            let k = (lines - offset).div_ceil(channels);
+            let start = now.max(*free);
+            *free = start + k * service;
+            self.total_queue_cycles += k * (start - now) + service * (k * (k - 1) / 2);
+            done = done.max(start + (k - 1) * service + self.config.latency);
         }
+        self.accesses += lines;
         done
     }
 
@@ -171,6 +192,14 @@ mod tests {
         // 8 lines over 4 channels: 2 per channel => last starts at +16.
         let done = d.access_burst(0, 0, 8);
         assert_eq!(done, 116);
+    }
+
+    #[test]
+    fn empty_burst_is_a_no_op() {
+        let mut d = Dram::new(DramConfig::isca2020());
+        assert_eq!(d.access_burst(500, 0, 0), 500);
+        assert_eq!(d.stats(), (0, 0));
+        assert_eq!(d.access(0, 0), 100, "no channel was occupied");
     }
 
     #[test]

@@ -133,13 +133,16 @@ impl L2 {
         ((line_of(addr) / self.config.cache.line_bytes) as usize) % self.config.banks
     }
 
-    /// Common bank + tag timing. Returns `(commit_cycle, hit)`.
-    fn bank_access(&mut self, now: Cycle, addr: Addr, occupancy: Cycle) -> (Cycle, bool) {
+    /// Common bank + tag timing. Returns `(commit_cycle, hit, monitored)`,
+    /// `monitored` being the line's monitored bit at commit, read by the
+    /// same tag scan.
+    fn bank_access(&mut self, now: Cycle, addr: Addr, occupancy: Cycle) -> (Cycle, bool, bool) {
         let bank = self.bank_of(addr);
         let arrival = now + self.config.cache.latency;
         let start = arrival.max(self.bank_free[bank]);
         self.bank_free[bank] = start + occupancy;
-        let (commit, hit) = match self.cache.access(addr) {
+        let (outcome, monitored) = self.cache.access_monitored(addr);
+        let (commit, hit) = match outcome {
             AccessOutcome::Hit => (start + occupancy, true),
             AccessOutcome::Miss { .. } => {
                 let fill = self.dram.access(start, line_of(addr));
@@ -151,14 +154,14 @@ impl L2 {
                 (fill.max(start + occupancy), false)
             }
         };
-        (commit, hit)
+        (commit, hit, monitored)
     }
 
     /// Executes an atomic arriving from a CU at cycle `now`.
     pub fn atomic(&mut self, now: Cycle, req: AtomicRequest) -> AtomicCompletion {
         self.atomics += 1;
-        let (committed, _hit) = self.bank_access(now, req.addr, self.config.atomic_occupancy);
-        let was_monitored = self.cache.is_monitored(req.addr);
+        let (committed, _hit, was_monitored) =
+            self.bank_access(now, req.addr, self.config.atomic_occupancy);
         let result = atomic::execute(&mut self.backing, req);
         AtomicCompletion {
             result,
@@ -171,7 +174,7 @@ impl L2 {
     /// Reads the word at `addr`, returning `(value, completion)`.
     pub fn read(&mut self, now: Cycle, addr: Addr) -> (i64, Completion) {
         self.reads += 1;
-        let (commit, hit) = self.bank_access(now, addr, self.config.access_occupancy);
+        let (commit, hit, _) = self.bank_access(now, addr, self.config.access_occupancy);
         (
             self.backing.load(addr),
             Completion {
@@ -186,8 +189,7 @@ impl L2 {
     /// monitored at commit time.
     pub fn write(&mut self, now: Cycle, addr: Addr, value: i64) -> (Completion, bool) {
         self.writes += 1;
-        let (commit, hit) = self.bank_access(now, addr, self.config.access_occupancy);
-        let monitored = self.cache.is_monitored(addr);
+        let (commit, hit, monitored) = self.bank_access(now, addr, self.config.access_occupancy);
         self.backing.store(addr, value);
         (
             Completion {

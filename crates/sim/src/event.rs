@@ -7,33 +7,36 @@
 //!
 //! # Implementation
 //!
-//! The queue is a single-level calendar (timer wheel), not a binary heap.
-//! GPU timing events overwhelmingly land a few dozen to a few thousand
-//! cycles ahead of the current cycle, so a wheel of [`WHEEL_CYCLES`] flat
-//! buckets — one per cycle, addressed by `cycle % WHEEL_CYCLES` — turns
-//! both `schedule` and `pop` into O(1) array operations with an occupancy
-//! bitmap scan instead of O(log n) sift operations over a pointer-cold
-//! heap:
+//! The queue is a single-level calendar (timer wheel) backed by a binary
+//! heap for the events the wheel cannot hold. GPU timing events
+//! overwhelmingly land a few dozen to a few thousand cycles ahead of the
+//! current cycle, so a wheel of 4096 flat buckets — one per cycle,
+//! addressed by the cycle modulo the wheel width — turns both `schedule`
+//! and `pop` into O(1) array operations with an occupancy bitmap scan
+//! instead of O(log n) sift operations over a pointer-cold heap:
 //!
 //! * **Wheel** — every pending event whose cycle lies inside the horizon
-//!   `[cursor, cursor + WHEEL_CYCLES)` sits in the bucket for its cycle.
-//!   Because the horizon is exactly one wheel revolution, a bucket never
-//!   mixes cycles; appending to a bucket therefore preserves the FIFO
+//!   (the 4096 cycles starting at the cursor) sits in the bucket for its
+//!   cycle. Because the horizon is exactly one wheel revolution, a bucket
+//!   never mixes cycles; appending to a bucket therefore preserves the FIFO
 //!   tie-break for free, with no per-entry comparisons at all.
 //! * **Overflow** — events beyond the horizon, and retro events scheduled
 //!   behind the cursor (the machine does this when re-arming timeouts at
-//!   `max(deadline, now)` boundaries and after restores), go to a sorted
-//!   `BTreeMap<Cycle, …>` tier. No migration pass is ever needed: `pop`
-//!   compares the wheel's next cycle against the overflow's first key and
+//!   `max(deadline, now)` boundaries and after restores), go to a binary
+//!   min-heap of `(cycle, seq, slot)` keys. The heap holds plain 24-byte
+//!   keys, not the events, so a far-future insert costs one sift and no
+//!   allocation once the heap has grown. No migration pass is ever needed:
+//!   `pop` compares the wheel's next cycle against the heap's minimum and
 //!   drains the earlier one. When both tiers hold the same cycle, the
 //!   overflow entries are always older (their seq is smaller — an event
 //!   can only reach the overflow while the cycle is outside the horizon,
 //!   i.e. strictly before any wheel entry for it could exist), so
-//!   overflow-before-wheel preserves FIFO order exactly.
+//!   overflow-before-wheel preserves FIFO order exactly; within the heap,
+//!   the `seq` field of the key keeps same-cycle entries FIFO.
 //! * **Arena** — event payloads live in generation-tagged slots with a
-//!   free list; buckets and overflow rings store 8-byte slot references,
-//!   not boxed events. Popping frees the slot for reuse, so a steady-state
-//!   run allocates nothing after warmup, and
+//!   free list; buckets and the overflow heap store slot references, not
+//!   boxed events. Popping frees the slot for reuse, so a steady-state run
+//!   allocates nothing after warmup, and
 //!   [`with_capacity`](EventQueue::with_capacity) pre-sizes the arena from
 //!   machine configuration.
 //!
@@ -42,7 +45,8 @@
 //! original `BinaryHeap` implementation; `tests/queue_model.rs` drives
 //! both against each other with seeded interleavings to prove it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
@@ -57,6 +61,17 @@ const WHEEL_MASK: u64 = (WHEEL_CYCLES as u64) - 1;
 /// A generation-tagged reference into the slot arena.
 #[derive(Debug, Clone, Copy)]
 struct SlotRef {
+    idx: u32,
+    gen: u32,
+}
+
+/// An overflow-tier entry. The derived order compares `(cycle, seq)`
+/// first, which is the pop order; `seq` is unique, so the slot reference
+/// behind it never decides a comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OverflowKey {
+    cycle: Cycle,
+    seq: u64,
     idx: u32,
     gen: u32,
 }
@@ -114,8 +129,8 @@ pub struct EventQueue<E> {
     /// wheel entry's cycle lies in `[cursor, cursor + WHEEL_CYCLES)`.
     cursor: Cycle,
     /// Events outside the horizon (far future) or behind the cursor
-    /// (retro), in FIFO order per cycle.
-    overflow: BTreeMap<Cycle, VecDeque<SlotRef>>,
+    /// (retro), as a min-heap on `(cycle, seq)`.
+    overflow: BinaryHeap<Reverse<OverflowKey>>,
     /// Pending entries on the wheel (`len` minus the overflow population);
     /// lets `pop`/`peek` skip the bitmap scan in overflow-only phases.
     wheel_len: usize,
@@ -143,7 +158,7 @@ impl<E> EventQueue<E> {
             wheel,
             occupancy: [0; WHEEL_CYCLES / 64],
             cursor: 0,
-            overflow: BTreeMap::new(),
+            overflow: BinaryHeap::new(),
             wheel_len: 0,
             len: 0,
             seq: 0,
@@ -221,7 +236,7 @@ impl<E> EventQueue<E> {
         None
     }
 
-    fn insert_ref(&mut self, at: Cycle, r: SlotRef) {
+    fn insert_ref(&mut self, at: Cycle, seq: u64, r: SlotRef) {
         if at >= self.cursor && at - self.cursor < WHEEL_CYCLES as u64 {
             let bucket = self.bucket_index(at);
             debug_assert!(
@@ -235,7 +250,12 @@ impl<E> EventQueue<E> {
             self.set_bit(bucket);
             self.wheel_len += 1;
         } else {
-            self.overflow.entry(at).or_default().push_back(r);
+            self.overflow.push(Reverse(OverflowKey {
+                cycle: at,
+                seq,
+                idx: r.idx,
+                gen: r.gen,
+            }));
         }
         self.len += 1;
     }
@@ -247,13 +267,13 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let r = self.alloc_slot(at, seq, event);
-        self.insert_ref(at, r);
+        self.insert_ref(at, seq, r);
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let wheel_next = self.next_wheel_cycle();
-        let overflow_next = self.overflow.keys().next().copied();
+        let overflow_next = self.overflow.peek().map(|Reverse(k)| k.cycle);
         let (cycle, from_overflow) = match (wheel_next, overflow_next) {
             (None, None) => return None,
             (Some(w), None) => (w, false),
@@ -264,12 +284,11 @@ impl<E> EventQueue<E> {
             (Some(w), Some(o)) => (w.min(o), o <= w),
         };
         let r = if from_overflow {
-            let ring = self.overflow.get_mut(&cycle).expect("overflow key");
-            let r = ring.pop_front().expect("empty overflow ring");
-            if ring.is_empty() {
-                self.overflow.remove(&cycle);
+            let Reverse(k) = self.overflow.pop().expect("overflow key");
+            SlotRef {
+                idx: k.idx,
+                gen: k.gen,
             }
-            r
         } else {
             let bucket = self.bucket_index(cycle);
             let b = &mut self.wheel[bucket];
@@ -293,7 +312,7 @@ impl<E> EventQueue<E> {
     pub fn peek_cycle(&self) -> Option<Cycle> {
         match (
             self.next_wheel_cycle(),
-            self.overflow.keys().next().copied(),
+            self.overflow.peek().map(|Reverse(k)| k.cycle),
         ) {
             (None, None) => None,
             (Some(w), None) => Some(w),
@@ -315,7 +334,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events in the far-future/retro overflow tier
     /// (observability for checkpoint tests and calendar diagnostics).
     pub fn overflow_len(&self) -> usize {
-        self.overflow.values().map(|ring| ring.len()).sum()
+        self.overflow.len()
     }
 
     /// `(arena slots, free-list holes)` — observability for checkpoint
@@ -392,12 +411,12 @@ impl<E> EventQueue<E> {
         // Rebase the horizon on the earliest restored event so the bulk of
         // the restored calendar lands on the wheel, not in the overflow.
         // The entries arrive sorted by (cycle, seq) — append order along a
-        // bucket or overflow ring is therefore seq order, as required.
+        // bucket is therefore seq order, as required.
         q.cursor = entries.first().map_or(0, |&(cycle, _, _)| cycle);
         for (cycle, seq, event) in entries {
             debug_assert!(seq < next_seq, "restored seq beyond the counter");
             let r = q.alloc_slot(cycle, seq, event);
-            q.insert_ref(cycle, r);
+            q.insert_ref(cycle, seq, r);
         }
         q.seq = next_seq;
         q

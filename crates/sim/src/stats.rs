@@ -3,13 +3,12 @@
 //! Every crate in the simulator records into a [`Stats`] registry. Handles
 //! ([`CounterId`], [`DistId`], [`HistId`]) are plain indices, so recording
 //! through a handle never hashes. Registering a name doubles as looking it
-//! up, and several per-event paths do that instead of keeping a handle:
-//! the machine's wait-episode histogram on every wake delivery, the
-//! monitor's wake-batch histogram on every SyncMon wake, AWG's
-//! predicted-stall sample on every oversubscribed sync failure and its
-//! met-latency sample on every met condition, and the telemetry hub's
-//! wake-to-resume histogram on every resume. Those paths hash the name each
-//! time, through a [`FastMap`] index.
+//! up, through a [`FastMap`] index; report-time code does that freely.
+//! Per-event paths instead resolve their handle once, at first use — so
+//! the registry's registration order is the same as a by-name lookup
+//! would give — and keep it beside the registry's owner. A handle indexes
+//! one registry only: whoever replaces a registry (a checkpoint `load`)
+//! clears the handles cached against it.
 
 use std::fmt;
 

@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use crate::codec::{CodecError, Dec, Enc};
-use crate::stats::Stats;
+use crate::stats::{DistId, HistId, Stats};
 use crate::time::Cycle;
 
 /// Number of [`ProgressState`] classes.
@@ -190,6 +190,23 @@ impl SwapDir {
             SwapDir::In => "in",
         }
     }
+
+    fn index(self) -> usize {
+        match self {
+            SwapDir::Out => 0,
+            SwapDir::In => 1,
+        }
+    }
+}
+
+/// One swap direction's context-switch measurements in the hub's
+/// registry.
+#[derive(Debug, Clone, Copy)]
+struct CtxSwitchIds {
+    traffic: DistId,
+    fixed: DistId,
+    stall: DistId,
+    total: HistId,
 }
 
 /// Configuration for a run's telemetry collection.
@@ -467,6 +484,11 @@ impl std::fmt::Display for ProfileReport {
 pub struct TelemetryHub {
     config: TelemetryConfig,
     stats: Stats,
+    /// Handles into `stats` for the per-event measurements, resolved at
+    /// first use so registration order is unchanged; `load` replaces
+    /// `stats` and clears them.
+    wake_to_resume: Option<HistId>,
+    ctx_switch: [Option<CtxSwitchIds>; 2],
     wgs: Vec<WgAccount>,
     snapshot_next: Option<Cycle>,
     prev_atomics: u64,
@@ -484,6 +506,8 @@ impl TelemetryHub {
         TelemetryHub {
             config,
             stats: Stats::new(),
+            wake_to_resume: None,
+            ctx_switch: [None; 2],
             wgs: Vec::new(),
             snapshot_next: config.snapshot_window,
             prev_atomics: 0,
@@ -536,7 +560,9 @@ impl TelemetryHub {
         a.since = at;
         if state == ProgressState::Running {
             if let Some(woke) = a.wake_pending.take() {
-                let h = self.stats.hist("telemetry_wake_to_resume_cycles");
+                let h = *self
+                    .wake_to_resume
+                    .get_or_insert_with(|| self.stats.hist("telemetry_wake_to_resume_cycles"));
                 self.stats.observe(h, at.saturating_sub(woke));
             }
         } else if state == ProgressState::Finished {
@@ -573,22 +599,20 @@ impl TelemetryHub {
     /// Records one context switch's cost breakdown: memory traffic cycles,
     /// fixed pipeline overhead, and scheduler stall.
     pub fn note_ctx_switch(&mut self, dir: SwapDir, traffic: Cycle, fixed: Cycle, stall: Cycle) {
-        let d = self
-            .stats
-            .dist(&format!("telemetry_ctx_{}_traffic_cycles", dir.name()));
-        self.stats.sample(d, traffic);
-        let d = self
-            .stats
-            .dist(&format!("telemetry_ctx_{}_fixed_cycles", dir.name()));
-        self.stats.sample(d, fixed);
-        let d = self
-            .stats
-            .dist(&format!("telemetry_ctx_{}_stall_cycles", dir.name()));
-        self.stats.sample(d, stall);
-        let h = self
-            .stats
-            .hist(&format!("telemetry_ctx_{}_total_cycles", dir.name()));
-        self.stats.observe(h, traffic + fixed + stall);
+        let stats = &mut self.stats;
+        let ids = *self.ctx_switch[dir.index()].get_or_insert_with(|| {
+            let name = dir.name();
+            CtxSwitchIds {
+                traffic: stats.dist(&format!("telemetry_ctx_{name}_traffic_cycles")),
+                fixed: stats.dist(&format!("telemetry_ctx_{name}_fixed_cycles")),
+                stall: stats.dist(&format!("telemetry_ctx_{name}_stall_cycles")),
+                total: stats.hist(&format!("telemetry_ctx_{name}_total_cycles")),
+            }
+        });
+        self.stats.sample(ids.traffic, traffic);
+        self.stats.sample(ids.fixed, fixed);
+        self.stats.sample(ids.stall, stall);
+        self.stats.observe(ids.total, traffic + fixed + stall);
     }
 
     /// If a snapshot boundary is due at or before `cycle`, returns that
@@ -794,6 +818,8 @@ impl TelemetryHub {
         let mut stats_dec = Dec::new(stats_bytes);
         self.stats = Stats::load(&mut stats_dec)?;
         stats_dec.finish()?;
+        self.wake_to_resume = None;
+        self.ctx_switch = [None; 2];
         let n = dec.count(1 + 8 + 8 * PROGRESS_STATES + 1 + 8 + 8 * ATTRIBUTION_CAUSES + 1)?;
         self.wgs.clear();
         for _ in 0..n {

@@ -1,6 +1,6 @@
 //! Model-based battery for the calendar-queue [`EventQueue`].
 //!
-//! The production queue is a 4096-cycle timer wheel with a `BTreeMap`
+//! The production queue is a 4096-cycle timer wheel with a binary-heap
 //! overflow tier and an arena/free-list slot store; the *model* here is
 //! the data structure it replaced — a plain binary heap of
 //! `(cycle, seq, payload)` with FIFO sequence tie-breaks. Every generated
@@ -11,15 +11,20 @@
 //! The op mix is tuned to hit the queue's structurally distinct regimes:
 //! same-cycle bursts (bucket `front` cursor), far-future schedules (the
 //! overflow tier beyond the 4096-cycle horizon), retro schedules (behind
-//! the wheel cursor, also overflow), wheel wraparound (popping across
-//! many revolutions), and snapshot/restore mid-stream (horizon rebasing
-//! plus seq-counter continuation).
+//! the wheel cursor, also overflow), same-cycle ties split across the two
+//! tiers (an overflow event whose cycle later enters the horizon, then a
+//! wheel event at that cycle), wheel wraparound (popping across many
+//! revolutions), and snapshot/restore mid-stream (horizon rebasing plus
+//! seq-counter continuation).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use awg_sim::{Cycle, EventQueue};
 use proptest::prelude::*;
+
+/// Width of the production wheel's horizon, in cycles.
+const HORIZON: u64 = 4096;
 
 /// One step of a generated interleaving. Offsets are relative to the
 /// latest popped cycle, so the same op list exercises the wheel wherever
@@ -36,6 +41,12 @@ enum Op {
     Far(u64),
     /// Schedule behind the current cycle (also routed to overflow).
     Retro(u64),
+    /// Schedule one event `offset` (at least the horizon) ahead, into the
+    /// overflow tier; pop, checking each event, until a stepping-stone
+    /// event brings that cycle inside the horizon; then schedule a second
+    /// event at the same cycle, which lands on the wheel. The pair must
+    /// still pop in schedule order: overflow before wheel.
+    FarThenWheelTie(u64),
     /// Pop up to `count` events, checking each against the model.
     Pop(u8),
     /// Snapshot the queue and rebuild it via `restore`, mid-stream.
@@ -48,6 +59,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (2u8..6, 0u64..64).prop_map(|(n, off)| Op::Burst(n, off)),
         (4096u64..300_000).prop_map(Op::Far),
         (1u64..10_000).prop_map(Op::Retro),
+        (HORIZON..100_000).prop_map(Op::FarThenWheelTie),
         (1u8..12).prop_map(Op::Pop),
         Just(Op::RestoreRoundtrip),
     ]
@@ -91,6 +103,7 @@ fn run_interleaving(ops: &[Op]) {
     let mut now: Cycle = 0;
     let mut next_payload: u32 = 0;
     let mut saw_overflow = false;
+    let mut saw_cross_tier_tie = false;
 
     let schedule = |q: &mut EventQueue<u32>, model: &mut HeapModel, at, payload| {
         q.schedule(at, payload);
@@ -112,6 +125,31 @@ fn run_interleaving(ops: &[Op]) {
             Op::Retro(back) => {
                 schedule(&mut q, &mut model, now.saturating_sub(back), next_payload);
                 next_payload += 1;
+            }
+            Op::FarThenWheelTie(off) => {
+                let at = now + off;
+                let before = q.overflow_len();
+                schedule(&mut q, &mut model, at, next_payload);
+                next_payload += 1;
+                let far_in_overflow = q.overflow_len() == before + 1;
+                // Popping this stone moves the cursor to within one
+                // horizon of `at`.
+                let stone = next_payload;
+                schedule(&mut q, &mut model, at - (HORIZON - 1), stone);
+                next_payload += 1;
+                loop {
+                    let got = q.pop();
+                    assert_eq!(got, model.pop(), "pop diverged from the heap model");
+                    let (c, payload) = got.expect("the stepping stone is pending");
+                    now = now.max(c);
+                    if payload == stone {
+                        break;
+                    }
+                }
+                let before = q.overflow_len();
+                schedule(&mut q, &mut model, at, next_payload);
+                next_payload += 1;
+                saw_cross_tier_tie |= far_in_overflow && q.overflow_len() == before;
             }
             Op::Pop(count) => {
                 for _ in 0..count {
@@ -166,6 +204,13 @@ fn run_interleaving(ops: &[Op]) {
     if scheduled_far {
         assert!(saw_overflow, "far-future ops never reached the overflow");
     }
+    // Without a restore the cursor is always the latest popped cycle, so
+    // every tie op splits its pair across the tiers; a restore may rebase
+    // the horizon past it.
+    let tie = ops.iter().any(|o| matches!(o, Op::FarThenWheelTie(_)));
+    if tie && !ops.iter().any(|o| matches!(o, Op::RestoreRoundtrip)) {
+        assert!(saw_cross_tier_tie, "tie ops never split across the tiers");
+    }
 }
 
 proptest! {
@@ -204,6 +249,21 @@ proptest! {
     }
 }
 
+/// An overflow event and a wheel event at one cycle pop in schedule
+/// order, including behind other same-cycle work and after more pops.
+#[test]
+fn cross_tier_tie_pops_overflow_first() {
+    run_interleaving(&[
+        Op::Near(7),
+        Op::FarThenWheelTie(HORIZON),
+        Op::FarThenWheelTie(50_000),
+        Op::Burst(3, 4095),
+        Op::Pop(2),
+        Op::FarThenWheelTie(HORIZON + 1),
+        Op::Pop(u8::MAX),
+    ]);
+}
+
 /// A long deterministic soak crossing the wheel many times over, with all
 /// op kinds interleaved round-robin — catches wraparound bookkeeping that
 /// short random runs might miss.
@@ -216,6 +276,9 @@ fn deterministic_wheel_revolution_soak() {
         ops.push(Op::Burst(3, i % 17));
         if i % 3 == 0 {
             ops.push(Op::Retro(1 + i % 257));
+        }
+        if i % 5 == 0 {
+            ops.push(Op::FarThenWheelTie(HORIZON + (i * 131) % 20_000));
         }
         ops.push(Op::Pop(4));
         if i % 97 == 0 {
