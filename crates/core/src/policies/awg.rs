@@ -313,6 +313,10 @@ impl SchedPolicy for AwgPolicy {
         self.core.for_each_waiter(visit);
     }
 
+    fn registry_version(&self) -> Option<u64> {
+        Some(self.core.registry_version())
+    }
+
     fn save_state(&self, enc: &mut Enc) {
         self.core.save(enc);
         let mut phases: Vec<(WgId, Phase)> = self.phases.iter().map(|(&wg, &p)| (wg, p)).collect();

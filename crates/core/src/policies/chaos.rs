@@ -203,6 +203,11 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         self.inner.for_each_waiter(visit);
     }
 
+    fn registry_version(&self) -> Option<u64> {
+        // The wrapper perturbs wakes, never registrations.
+        self.inner.registry_version()
+    }
+
     fn report(&self, stats: &mut Stats) {
         self.inner.report(stats);
         let c = stats.counter(self.mode.stat_name());

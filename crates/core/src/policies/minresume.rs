@@ -30,6 +30,8 @@ pub struct MinResumePolicy {
     /// order is the release order, and one address's conditions sit
     /// together. A queue is never left empty.
     waiters: BTreeMap<(Addr, i64), VecDeque<WgId>>,
+    /// Moves at every change to `waiters`: the registry version.
+    version: u64,
     wakes: u64,
 }
 
@@ -40,10 +42,14 @@ impl MinResumePolicy {
     }
 
     fn remove_wg(&mut self, wg: WgId) {
+        let mut removed = false;
         self.waiters.retain(|_, q| {
+            let before = q.len();
             q.retain(|&w| w != wg);
+            removed |= q.len() != before;
             !q.is_empty()
         });
+        self.version += u64::from(removed);
     }
 
     /// Releases up to `per_cond` waiters of every condition that holds
@@ -66,6 +72,7 @@ impl MinResumePolicy {
                     let Some(wg) = q.pop_front() else { break };
                     wakes.push(Wake::now(wg));
                     self.wakes += 1;
+                    self.version += 1;
                 }
                 if q.is_empty() {
                     self.waiters.remove(&key);
@@ -105,6 +112,7 @@ impl SchedPolicy for MinResumePolicy {
             .entry((fail.cond.addr, fail.cond.expected))
             .or_default()
             .push_back(fail.wg);
+        self.version += 1;
         WaitDirective::Wait {
             release: ctx.oversubscribed(),
             timeout: Some(ORACLE_FALLBACK),
@@ -150,6 +158,10 @@ impl SchedPolicy for MinResumePolicy {
 
     fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
         self.release_satisfied(ctx, 1, wakes);
+    }
+
+    fn registry_version(&self) -> Option<u64> {
+        Some(self.version)
     }
 
     fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
@@ -211,6 +223,7 @@ impl SchedPolicy for MinResumePolicy {
             }
         }
         self.waiters = waiters;
+        self.version += 1;
         self.wakes = dec.u64()?;
         Ok(())
     }

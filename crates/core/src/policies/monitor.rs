@@ -41,6 +41,8 @@ pub struct MonitorCore {
     pub cp: Cp,
     /// Where each waiting WG is tracked (for timeout/finish cleanup).
     tracked: FastMap<WgId, (SyncCond, TrackOutcome)>,
+    /// Moves at every change to `tracked`: the registry version.
+    tracked_version: u64,
     /// Reused buffer for the conditions one notification wakes.
     conds: Vec<SyncCond>,
     /// `monitor_wake_batch_size` in the run's registry, resolved at the
@@ -70,6 +72,7 @@ impl MonitorCore {
             log: MonitorLog::new(log_capacity),
             cp: Cp::new(),
             tracked: FastMap::default(),
+            tracked_version: 0,
             conds: Vec::new(),
             batch_hist: None,
             mesa_retries: 0,
@@ -85,6 +88,7 @@ impl MonitorCore {
             RegisterOutcome::Registered => {
                 if ctx.l2.set_monitored(cond.addr) {
                     self.tracked.insert(wg, (cond, TrackOutcome::Cached));
+                    self.tracked_version += 1;
                     TrackOutcome::Cached
                 } else {
                     // The L2 set is fully pinned: the SyncMon cannot observe
@@ -100,6 +104,7 @@ impl MonitorCore {
     fn spill(&mut self, ctx: &mut PolicyCtx<'_>, cond: SyncCond, wg: WgId) -> TrackOutcome {
         if self.log.push(ctx.l2, ctx.now, LogEntry { cond, wg }) {
             self.tracked.insert(wg, (cond, TrackOutcome::Spilled));
+            self.tracked_version += 1;
             TrackOutcome::Spilled
         } else {
             self.mesa_retries += 1;
@@ -124,6 +129,7 @@ impl MonitorCore {
         });
         self.wakes_issued += woken as u64;
         if woken > 0 {
+            self.tracked_version += 1;
             let h = *self
                 .batch_hist
                 .get_or_insert_with(|| ctx.stats.hist("monitor_wake_batch_size"));
@@ -163,6 +169,7 @@ impl MonitorCore {
     /// Removes `wg`'s registration wherever it lives (timeout wake, finish).
     pub fn untrack(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) {
         if let Some((cond, outcome)) = self.tracked.remove(&wg) {
+            self.tracked_version += 1;
             match outcome {
                 TrackOutcome::Cached => {
                     self.syncmon.remove_waiter(&cond, wg);
@@ -183,6 +190,13 @@ impl MonitorCore {
     /// Where `wg` is currently tracked.
     pub fn tracking_of(&self, wg: WgId) -> Option<(SyncCond, TrackOutcome)> {
         self.tracked.get(&wg).copied()
+    }
+
+    /// The version of what [`MonitorCore::for_each_waiter`] visits: it
+    /// moves at every insert into or removal from the tracking map, so an
+    /// unchanged version means an unchanged map and visit order.
+    pub fn registry_version(&self) -> u64 {
+        self.tracked_version
     }
 
     /// Visits every tracked waiter with the structure holding its
@@ -216,6 +230,7 @@ impl MonitorCore {
         let met = self.cp.check_conditions(ctx.l2, ctx.now);
         for (_, wg) in met {
             if self.tracked.remove(&wg).is_some() {
+                self.tracked_version += 1;
                 self.wakes_issued += 1;
                 wakes.push(Wake::now(wg));
             }
@@ -234,6 +249,7 @@ impl MonitorCore {
                 for (cond, wgs) in self.syncmon.evict_conditions(count) {
                     for wg in wgs {
                         self.tracked.remove(&wg);
+                        self.tracked_version += 1;
                         self.chaos_evicted_waiters += 1;
                     }
                     if !self.syncmon.addr_has_conditions(cond.addr) {
@@ -317,6 +333,7 @@ impl MonitorCore {
             }
         }
         self.tracked = tracked;
+        self.tracked_version += 1;
         self.mesa_retries = dec.u64()?;
         self.wakes_issued = dec.u64()?;
         self.chaos_evicted_waiters = dec.u64()?;

@@ -173,6 +173,10 @@ impl SchedPolicy for MonNrAllPolicy {
         self.0.core.for_each_waiter(visit);
     }
 
+    fn registry_version(&self) -> Option<u64> {
+        Some(self.0.core.registry_version())
+    }
+
     fn report(&self, stats: &mut Stats) {
         self.0.core.report("monnr_all", stats);
         let c = stats.counter("monnr_all_met_wakes");
@@ -263,6 +267,10 @@ impl SchedPolicy for MonNrOnePolicy {
 
     fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
         self.0.core.for_each_waiter(visit);
+    }
+
+    fn registry_version(&self) -> Option<u64> {
+        Some(self.0.core.registry_version())
     }
 
     fn report(&self, stats: &mut Stats) {

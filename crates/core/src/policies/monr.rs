@@ -115,6 +115,10 @@ impl SchedPolicy for MonRAllPolicy {
         self.core.for_each_waiter(visit);
     }
 
+    fn registry_version(&self) -> Option<u64> {
+        Some(self.core.registry_version())
+    }
+
     fn report(&self, stats: &mut Stats) {
         self.core.report("monr", stats);
         let c = stats.counter("monr_met_wakes");

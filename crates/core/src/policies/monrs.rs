@@ -119,6 +119,10 @@ impl SchedPolicy for MonRsAllPolicy {
         self.core.for_each_waiter(visit);
     }
 
+    fn registry_version(&self) -> Option<u64> {
+        Some(self.core.registry_version())
+    }
+
     fn report(&self, stats: &mut Stats) {
         self.core.report("monrs", stats);
         let c = stats.counter("monrs_sporadic_wakes");

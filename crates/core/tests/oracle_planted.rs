@@ -271,3 +271,86 @@ fn cleared_monitored_bit_under_a_cached_waiter_is_a_superset_hole() {
         )]
     );
 }
+
+/// MonNR-One behind a registry that changes without its version: every
+/// other visit skips the first record, while `registry_version` reports
+/// the inner policy's.
+#[derive(Debug)]
+struct Unversioned {
+    inner: MonNrOnePolicy,
+    visits: Cell<u64>,
+}
+
+impl SchedPolicy for Unversioned {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn style(&self) -> SyncStyle {
+        self.inner.style()
+    }
+    fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
+        self.inner.on_sync_fail(ctx, fail)
+    }
+    fn on_monitored_update(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        update: &MonitoredUpdate,
+        wakes: &mut Vec<Wake>,
+    ) {
+        self.inner.on_monitored_update(ctx, update, wakes);
+    }
+    fn on_wait_timeout(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        wg: WgId,
+        cond: &SyncCond,
+    ) -> TimeoutAction {
+        self.inner.on_wait_timeout(ctx, wg, cond)
+    }
+    fn on_wake_delivered(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId, cond: &SyncCond) {
+        self.inner.on_wake_delivered(ctx, wg, cond);
+    }
+    fn on_wg_finished(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) {
+        self.inner.on_wg_finished(ctx, wg);
+    }
+    fn cp_tick_period(&self) -> Option<Cycle> {
+        self.inner.cp_tick_period()
+    }
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.inner.on_cp_tick(ctx, wakes);
+    }
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        let visits = self.visits.get();
+        self.visits.set(visits + 1);
+        let mut hide = visits % 2 == 1;
+        self.inner.for_each_waiter(&mut |wg, rec| {
+            if std::mem::take(&mut hide) {
+                return;
+            }
+            visit(wg, rec);
+        });
+    }
+    fn registry_version(&self) -> Option<u64> {
+        self.inner.registry_version()
+    }
+}
+
+/// The per-event check skips re-reading a registry whose version held
+/// still. In debug builds it re-reads anyway and compares, so a policy
+/// that breaks the version contract fails loudly instead of silently
+/// blinding the oracle.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "kept registry_version")]
+fn registry_change_without_a_version_bump_trips_the_debug_cross_check() {
+    let mut gpu = Gpu::new(
+        GpuConfig::isca2020_baseline(),
+        mutex_kernel(),
+        Box::new(Unversioned {
+            inner: MonNrOnePolicy::new(),
+            visits: Cell::new(0),
+        }),
+    );
+    gpu.enable_invariant_oracle();
+    gpu.run();
+}

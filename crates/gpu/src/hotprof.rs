@@ -112,11 +112,13 @@ pub struct HotReport {
     pub dispatch_admissions: u64,
     /// L2 `(atomics, reads, writes)` — bank-queue operations.
     pub l2_ops: (u64, u64, u64),
-    /// SyncMon lines monitored at end of run.
-    pub monitored_lines: usize,
-    /// SyncMon/CP condition probes (summed across policy monitor cores;
-    /// zero for policies without a monitor).
-    pub sync_probes: u64,
+    /// The most L2 lines monitored at once during the run (a high-water
+    /// mark: at the end of a completed run no line is monitored).
+    pub peak_monitored_lines: usize,
+    /// Monitor Log appends plus CP condition checks: the probes of the
+    /// slow path a waiter takes when it spills out of the SyncMon (zero
+    /// when nothing spilled, and for policies without a monitor).
+    pub log_cp_probes: u64,
     /// Retained trace records — the run's dominant allocation proxy.
     pub trace_records: usize,
 }
@@ -133,8 +135,8 @@ impl HotReport {
         total_wall: Duration,
         sched_total: u64,
         l2_ops: (u64, u64, u64),
-        monitored_lines: usize,
-        sync_probes: u64,
+        peak_monitored_lines: usize,
+        log_cp_probes: u64,
         trace_records: usize,
     ) -> Self {
         let attributed: Duration = prof.lane_wall.iter().sum();
@@ -163,8 +165,8 @@ impl HotReport {
             dispatch_scans: prof.dispatch_scans,
             dispatch_admissions: prof.dispatch_admissions,
             l2_ops,
-            monitored_lines,
-            sync_probes,
+            peak_monitored_lines,
+            log_cp_probes,
             trace_records,
         }
     }
@@ -235,12 +237,12 @@ impl HotReport {
             ("l2_reads".to_owned(), Value::Num(reads as f64)),
             ("l2_writes".to_owned(), Value::Num(writes as f64)),
             (
-                "monitored_lines".to_owned(),
-                Value::Num(self.monitored_lines as f64),
+                "peak_monitored_lines".to_owned(),
+                Value::Num(self.peak_monitored_lines as f64),
             ),
             (
-                "sync_probes".to_owned(),
-                Value::Num(self.sync_probes as f64),
+                "log_cp_probes".to_owned(),
+                Value::Num(self.log_cp_probes as f64),
             ),
             (
                 "trace_records".to_owned(),
@@ -273,8 +275,8 @@ impl std::fmt::Display for HotReport {
         writeln!(
             f,
             "  l2 bank ops: {atomics} atomics, {reads} reads, {writes} writes; \
-             {} monitored lines, {} sync probes",
-            self.monitored_lines, self.sync_probes
+             {} peak monitored lines, {} log/CP probes",
+            self.peak_monitored_lines, self.log_cp_probes
         )?;
         writeln!(f, "  alloc proxy: {} trace records", self.trace_records)?;
         writeln!(

@@ -96,7 +96,7 @@ impl Event {
     }
 
     /// The WG the event belongs to, if any.
-    fn wg(&self) -> Option<WgId> {
+    pub(crate) fn wg(&self) -> Option<WgId> {
         match *self {
             Event::Continue(wg, _)
             | Event::Response(wg, _)
@@ -869,13 +869,15 @@ impl Gpu {
             }
             f.push(wg.cu.map_or(u64::MAX, |c| c as u64));
         }
+        let mut resident: Vec<WgId> = Vec::new();
         for cu in &self.cus {
             f.push(u64::from(cu.is_enabled()));
             // Residency order is scheduling-dependent scratch state; sort so
             // the digest reflects *which* WGs are resident, not swap order.
-            let mut resident: Vec<WgId> = cu.resident().to_vec();
+            resident.clear();
+            resident.extend_from_slice(cu.resident());
             resident.sort_unstable();
-            f.push_seq(resident.into_iter().map(u64::from));
+            f.push_seq(resident.iter().map(|&wg| u64::from(wg)));
         }
         let mut words: Vec<(Addr, i64)> = self.l2.backing().nonzero_words().collect();
         words.sort_unstable_by_key(|&(a, _)| a);
@@ -908,10 +910,10 @@ impl Gpu {
         });
     }
 
-    /// Runs the oracle after one handled event and records anything it
-    /// finds.
-    fn oracle_event(&mut self, own: Option<WgId>) {
-        for v in self.check_event(own) {
+    /// Runs the oracle after the run loop popped and handled `event`, and
+    /// records anything it finds.
+    fn oracle_event(&mut self, event: Event) {
+        for v in self.check_event(event) {
             self.record_violation(v.kind, v.detail);
         }
     }
@@ -1038,7 +1040,7 @@ impl Gpu {
     /// probe counters, which land in the stats registry at summary time.
     pub fn hot_report(&self) -> Option<HotReport> {
         self.hotprof.as_ref().map(|p| {
-            let sync_probes: u64 = self
+            let log_cp_probes: u64 = self
                 .stats
                 .counters()
                 .filter(|(name, _)| {
@@ -1052,8 +1054,8 @@ impl Gpu {
                 self.run_wall,
                 self.events.scheduled_total(),
                 self.l2.op_counts(),
-                self.l2.monitored_lines(),
-                sync_probes,
+                self.l2.monitored_peak(),
+                log_cp_probes,
                 self.trace.len(),
             )
         })
@@ -1179,6 +1181,12 @@ impl Gpu {
                         self.now + self.config.resume_latency + wake.delay,
                         Event::WakeDeliver(wake.wg, token),
                     );
+                    if self.oracle_on {
+                        self.oracle
+                            .get_mut()
+                            .shadow
+                            .note_rescue_scheduled(wake.wg, token);
+                    }
                 }
                 WgState::SwappingOut => {
                     if let Some(hub) = self.telemetry.as_mut() {
@@ -1417,7 +1425,14 @@ impl Gpu {
         let w = &self.wgs[wg as usize];
         if let Some(deadline) = w.timeout_at {
             let at = deadline.max(self.now);
-            self.events.schedule(at, Event::WaitTimeout(wg, w.token));
+            let token = w.token;
+            self.events.schedule(at, Event::WaitTimeout(wg, token));
+            if self.oracle_on {
+                self.oracle
+                    .get_mut()
+                    .shadow
+                    .note_rescue_scheduled(wg, token);
+            }
         }
     }
 
@@ -2324,11 +2339,14 @@ impl Gpu {
             if let Some(window) = self.digest_window {
                 // Digest at each window boundary the machine is about to
                 // cross: all events strictly before the boundary have been
-                // handled, none at-or-after it have.
-                while self.digest_next <= cycle {
+                // handled, none at-or-after it have. Nothing changes between
+                // the boundaries one event crosses, so they share a digest.
+                if self.digest_next <= cycle {
                     let d = self.digest();
-                    self.digest_trail.push(d);
-                    self.digest_next += window;
+                    while self.digest_next <= cycle {
+                        self.digest_trail.push(d);
+                        self.digest_next += window;
+                    }
                 }
             }
             // Metric snapshots use the same boundary discipline as digests:
@@ -2364,13 +2382,13 @@ impl Gpu {
             if self.oracle_on {
                 if profiling {
                     let t0 = Instant::now();
-                    self.oracle_event(event.wg());
+                    self.oracle_event(event);
                     let wall = t0.elapsed();
                     if let Some(hub) = self.telemetry.as_mut() {
                         hub.profile_note(Subsystem::Check, wall);
                     }
                 } else {
-                    self.oracle_event(event.wg());
+                    self.oracle_event(event);
                 }
             }
         }

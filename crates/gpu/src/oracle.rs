@@ -38,10 +38,22 @@
 //!   stale-registration and reachability checks. The two queues are read
 //!   whole, so duplicates stay exact; a CU's resident list is compared
 //!   with its last copy only when a touched WG was on it or the CU's count
-//!   or free resources moved; the calendar walk runs only when a touched
-//!   waiter has neither a registration nor a landed wake.
+//!   or free resources moved. A touched waiter with neither a registration
+//!   nor a landed wake is looked up in per-WG **rescue counts** instead of
+//!   the calendar: how many `WakeDeliver`/`WaitTimeout` events for its
+//!   current token are pending. The machine counts each such event at the
+//!   two sites that schedule them (`apply_wakes`, `rearm_timeout`); the
+//!   oracle uncounts each one [`Gpu::run`] pops when the loop hands it
+//!   that event, handled or cut off. The counts are rebuilt from the
+//!   calendar only when the shadow is primed.
 //! * On events that called the policy it re-reads the whole registry and
-//!   runs the duplicate, stale and monitored-bit checks over every record.
+//!   runs the duplicate, stale and monitored-bit checks over every record,
+//!   unless the policy's
+//!   [`registry_version`](crate::SchedPolicy::registry_version) and the
+//!   L2's monitored-bit version both match the last read: then the
+//!   registry and every monitored bit are as that read saw them, and only
+//!   the stale count, kept from the touched WGs' state changes, can differ.
+//!   A re-read looks up each address's monitored bit once per bit version.
 //! * Every event it checks the counts in O(#CUs): finished WGs and queue
 //!   lengths against the census, the homes sum, each CU's occupancy
 //!   against its limit and its resource balance, and the machine's
@@ -58,11 +70,17 @@
 //! them, such as a test tampering with WG state, is reported by the next
 //! window sweep or the run-end sweep.
 //!
+//! The window and run-end sweeps keep the full registry read and the
+//! calendar walk, and so stay the references for both shortcuts. In builds
+//! with debug assertions every skipped read and every count-based
+//! reachability answer is also derived the full way and asserted equal.
+//!
 //! Leave the oracle off for throughput experiments and on for the chaos
 //! matrix, the conformance lab and CI, where catching a corrupted schedule
 //! at the event that corrupts it is worth the slowdown.
 
-use awg_sim::Cycle;
+use awg_mem::Addr;
+use awg_sim::{Cycle, FastMap};
 
 use crate::machine::{Event, Gpu};
 use crate::policy::{WaiterRecord, WaiterStructure};
@@ -144,6 +162,21 @@ pub(crate) struct OracleShadow {
     /// The WGs the last read listed, and the read before it.
     registered: Vec<WgId>,
     prev_registered: Vec<WgId>,
+    /// The policy's registry version and the L2's monitored-bit version at
+    /// the last read. The per-event check skips a re-read while both hold.
+    read_version: Option<u64>,
+    read_bits: u64,
+    /// Whether the last read listed a WG twice or found a SyncMon record's
+    /// line unmonitored: what a skipped read would find again.
+    read_dirty: bool,
+    /// How many WGs the last read listed are in a state that cannot wake,
+    /// kept since then from the touched WGs' state changes.
+    stale: usize,
+    /// Monitored-bit answers by address, valid while the L2's monitored-bit
+    /// version is `read_bits`.
+    bits: FastMap<Addr, bool>,
+    /// Per WG, the pending token-valid wakes and timeouts (module docs).
+    rescues: Rescues,
     /// Every CU's resident list, flattened (`cu_start[i]..cu_start[i + 1]`
     /// is CU `i`'s), and its free resources.
     resident: Vec<WgId>,
@@ -181,6 +214,23 @@ impl OracleShadow {
         self.primed = false;
     }
 
+    /// Records a `WakeDeliver` or `WaitTimeout` scheduled for `wg` with
+    /// `token`, the WG's current token.
+    pub(crate) fn note_rescue_scheduled(&mut self, wg: WgId, token: u64) {
+        if self.primed {
+            self.rescues.scheduled(wg, token);
+        }
+    }
+
+    /// Records that the run loop popped `event` off the calendar.
+    fn note_popped(&mut self, event: &Event) {
+        if let (true, Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token)) =
+            (self.primed, *event)
+        {
+            self.rescues.popped(wg, token);
+        }
+    }
+
     fn end_event(&mut self) {
         self.touched.clear();
         self.policy_called = false;
@@ -193,6 +243,43 @@ impl OracleShadow {
 
     fn is_registered(&self, wg: WgId) -> bool {
         self.read_mark[wg as usize] == self.read
+    }
+}
+
+/// Per WG, how many `WakeDeliver`/`WaitTimeout` events carrying `token[wg]`
+/// the calendar holds. Tokens only grow and both sites that schedule these
+/// events stamp the WG's current token, so a schedule with a newer token
+/// starts a fresh count, and a pop of an older token's event is ignored.
+#[derive(Debug, Default)]
+struct Rescues {
+    token: Vec<u64>,
+    count: Vec<u32>,
+}
+
+impl Rescues {
+    fn scheduled(&mut self, wg: WgId, token: u64) {
+        let wg = wg as usize;
+        if self.token[wg] == token {
+            self.count[wg] += 1;
+        } else {
+            self.token[wg] = token;
+            self.count[wg] = 1;
+        }
+    }
+
+    fn popped(&mut self, wg: WgId, token: u64) {
+        let wg = wg as usize;
+        if self.token[wg] == token {
+            debug_assert!(self.count[wg] > 0, "rescue count of WG {wg} underflows");
+            self.count[wg] -= 1;
+        }
+    }
+
+    /// Whether the calendar holds a wake or timeout for `w`'s current
+    /// token.
+    fn pending(&self, w: &Wg) -> bool {
+        let wg = w.id as usize;
+        self.token[wg] == w.token && self.count[wg] > 0
     }
 }
 
@@ -345,6 +432,7 @@ impl Gpu {
             gen,
             self.wgs.iter().map(|w| w.id),
             |wg| registered[wg as usize] == gen,
+            None,
             &mut r,
         );
         self.check_census(&counts, &mut r);
@@ -366,6 +454,10 @@ impl Gpu {
             let was = std::mem::replace(&mut shadow.state[wg as usize], now);
             shadow.census[was.census_index()] -= 1;
             shadow.census[now.census_index()] += 1;
+            if shadow.is_registered(wg) {
+                shadow.stale =
+                    shadow.stale + usize::from(cannot_wake(now)) - usize::from(cannot_wake(was));
+            }
         }
         let counts = shadow.census;
         self.check_finished(&counts, &mut r);
@@ -401,7 +493,15 @@ impl Gpu {
             self.check_placed(w, shadow.res_count[wg as usize] > 0, &mut r);
         }
         self.check_homes(&counts, shadow.placed, &mut r);
-        if shadow.policy_called {
+        if shadow.policy_called && self.registry_unchanged(shadow) {
+            // The registry and every monitored bit are as the last read saw
+            // them: no registration vanished, and only staleness can differ.
+            #[cfg(debug_assertions)]
+            self.assert_registry_unchanged(shadow);
+            if shadow.read_dirty || shadow.stale > 0 {
+                self.check_registry(scratch, gen, &mut r);
+            }
+        } else if shadow.policy_called {
             // Only a policy call changes the registry or a monitored bit.
             std::mem::swap(&mut shadow.registered, &mut shadow.prev_registered);
             if !self.read_marks(shadow) {
@@ -439,10 +539,55 @@ impl Gpu {
             gen,
             shadow.touched.iter().copied(),
             |wg| shadow.is_registered(wg),
+            Some(&shadow.rescues),
             &mut r,
         );
         self.check_census(&counts, &mut r);
         r.out
+    }
+
+    /// Whether the policy's registry and the L2's monitored bits are as the
+    /// last read saw them: the policy keeps a registry version and it, like
+    /// the monitored-bit version, has not moved since.
+    fn registry_unchanged(&self, shadow: &OracleShadow) -> bool {
+        shadow.read_version.is_some()
+            && self.policy.registry_version() == shadow.read_version
+            && self.l2.monitored_version() == shadow.read_bits
+    }
+
+    /// Re-derives a skipped read the full way and panics if it differs
+    /// from what the last read left: a policy that changed its registry
+    /// without moving its version broke the
+    /// [`registry_version`](crate::SchedPolicy::registry_version) contract.
+    #[cfg(debug_assertions)]
+    fn assert_registry_unchanged(&self, shadow: &OracleShadow) {
+        let mut records = Vec::new();
+        self.policy
+            .for_each_waiter(&mut |wg, rec| records.push((wg, rec)));
+        // Stable, so each WG's first record stays first, as in a read.
+        records.sort_by_key(|&(wg, _)| wg);
+        let mut listed: Vec<WgId> = Vec::new();
+        let (mut dirty, mut stale) = (false, 0usize);
+        for &(wg, rec) in &records {
+            if listed.last() == Some(&wg) {
+                dirty = true;
+                continue;
+            }
+            listed.push(wg);
+            stale += usize::from(cannot_wake(shadow.state[wg as usize]));
+            dirty |=
+                rec.structure == WaiterStructure::SyncMon && !self.l2.is_monitored(rec.cond.addr);
+        }
+        let mut kept = shadow.registered.clone();
+        kept.sort_unstable();
+        assert_eq!(
+            (listed, dirty, stale),
+            (kept, shadow.read_dirty, shadow.stale),
+            "policy {} kept registry_version {:?} and the L2 its monitored-bit version, \
+             but a fresh registry read differs from the last one",
+            self.policy.name(),
+            shadow.read_version
+        );
     }
 
     /// Whether every CU's resident count and free resources are as the
@@ -491,36 +636,43 @@ impl Gpu {
 
     /// Re-reads the registry into the shadow's marks and returns whether
     /// no record would report: no WG listed twice, none stale, and every
-    /// SyncMon record's line monitored. Waiters mostly share a few sync
-    /// addresses, so the last monitored address is remembered instead of
-    /// looked up again.
+    /// SyncMon record's line monitored. Records the versions the read saw.
+    /// Waiters mostly share a few sync addresses, so each address's
+    /// monitored bit is looked up once per monitored-bit version.
     fn read_marks(&self, shadow: &mut OracleShadow) -> bool {
         shadow.read += 1;
+        shadow.read_version = self.policy.registry_version();
+        let bits_version = self.l2.monitored_version();
+        if bits_version != shadow.read_bits {
+            shadow.bits.clear();
+            shadow.read_bits = bits_version;
+        }
         let read = shadow.read;
         let marks = &mut shadow.read_mark;
         let registered = &mut shadow.registered;
         let states = &shadow.state;
+        let bits = &mut shadow.bits;
         registered.clear();
-        let mut clean = true;
-        let mut monitored = None;
+        let (mut dirty, mut stale) = (false, 0usize);
         self.policy.for_each_waiter(&mut |wg, rec| {
             let mark = &mut marks[wg as usize];
             if *mark == read {
-                clean = false;
+                dirty = true;
                 return;
             }
             *mark = read;
             registered.push(wg);
-            clean = clean
-                && !cannot_wake(states[wg as usize])
-                && (rec.structure != WaiterStructure::SyncMon
-                    || monitored == Some(rec.cond.addr)
-                    || (self.l2.is_monitored(rec.cond.addr) && {
-                        monitored = Some(rec.cond.addr);
-                        true
-                    }));
+            stale += usize::from(cannot_wake(states[wg as usize]));
+            if rec.structure == WaiterStructure::SyncMon {
+                let addr = rec.cond.addr;
+                dirty |= !*bits
+                    .entry(addr)
+                    .or_insert_with(|| self.l2.is_monitored(addr));
+            }
         });
-        clean
+        shadow.read_dirty = dirty;
+        shadow.stale = stale;
+        !dirty && stale == 0
     }
 
     /// Rebuilds the shadow from the machine after a full sweep.
@@ -534,6 +686,9 @@ impl Gpu {
         }
         shadow.touch_mark.resize(n, 0);
         shadow.read_mark.resize(n, 0);
+        if !shadow.primed {
+            self.count_rescues(&mut shadow.rescues);
+        }
         // Sized once, so the run never reallocates them: growing buffers
         // between the machine's own allocations raised peak RSS.
         shadow.touched.reserve(n);
@@ -552,13 +707,29 @@ impl Gpu {
         shadow.primed = true;
     }
 
-    /// The oracle's work after one handled event whose own WG is `own`:
+    /// Rebuilds the rescue counts from the calendar.
+    fn count_rescues(&self, rescues: &mut Rescues) {
+        rescues.token.clear();
+        rescues.token.extend(self.wgs.iter().map(|w| w.token));
+        rescues.count.clear();
+        rescues.count.resize(self.wgs.len(), 0);
+        for (_, ev) in self.events.iter() {
+            if let Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token) = *ev {
+                if rescues.token[wg as usize] == token {
+                    rescues.count[wg as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// The oracle's work after the run loop popped and handled `event`:
     /// the full sweep at the first event and at each window boundary, the
     /// per-event check otherwise.
-    pub(crate) fn check_event(&self, own: Option<WgId>) -> Vec<InvariantViolation> {
+    pub(crate) fn check_event(&self, event: Event) -> Vec<InvariantViolation> {
         let mut state = self.oracle.borrow_mut();
         let OracleState { scratch, shadow } = &mut *state;
-        if let Some(wg) = own {
+        shadow.note_popped(&event);
+        if let Some(wg) = event.wg() {
             shadow.touch(wg);
         }
         let found = if !shadow.primed || self.now() >= shadow.next_sweep {
@@ -579,6 +750,9 @@ impl Gpu {
     pub(crate) fn check_run_end(&self, unhandled: Option<Event>) -> Vec<InvariantViolation> {
         let mut state = self.oracle.borrow_mut();
         let OracleState { scratch, shadow } = &mut *state;
+        if let Some(event) = &unhandled {
+            shadow.note_popped(event);
+        }
         let mut found = self.check_invariants_with(scratch);
         if let Some(Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token)) = unhandled {
             let w = &self.wgs[wg as usize];
@@ -855,15 +1029,16 @@ impl Gpu {
 
     /// Reports each waiter among `candidates` (ascending) with no
     /// registration, no landed wake and no token-valid wake or timeout in
-    /// the calendar. The calendar walk (the only O(events) step) runs only
-    /// when such a waiter lacks the first two, which on a sound machine is
-    /// the rare case.
+    /// the calendar. Only a waiter that lacks the first two needs the
+    /// calendar: looked up in `rescues` when given, else found by a walk,
+    /// the only O(events) step.
     fn check_reachable(
         &self,
         rescue_mark: &mut [u64],
         gen: u64,
         candidates: impl Iterator<Item = WgId> + Clone,
         registered: impl Fn(WgId) -> bool,
+        rescues: Option<&Rescues>,
         r: &mut Reports,
     ) {
         let mut needy = 0usize;
@@ -880,11 +1055,35 @@ impl Gpu {
         if needy == 0 {
             return;
         }
-        for (_, ev) in self.events.iter() {
-            if let Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token) = *ev {
-                let wgu = wg as usize;
-                if rescue_mark[wgu] == gen && self.wgs[wgu].token == token {
-                    rescue_mark[wgu] = 0;
+        match rescues {
+            Some(rescues) => {
+                for wg in candidates.clone() {
+                    let w = &self.wgs[wg as usize];
+                    if rescue_mark[wg as usize] != gen {
+                        continue;
+                    }
+                    debug_assert_eq!(
+                        rescues.pending(w),
+                        self.events.iter().any(|(_, ev)| matches!(
+                            *ev,
+                            Event::WakeDeliver(e, t) | Event::WaitTimeout(e, t)
+                                if e == wg && t == w.token
+                        )),
+                        "rescue count of WG {wg} disagrees with the calendar"
+                    );
+                    if rescues.pending(w) {
+                        rescue_mark[wg as usize] = 0;
+                    }
+                }
+            }
+            None => {
+                for (_, ev) in self.events.iter() {
+                    if let Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token) = *ev {
+                        let wgu = wg as usize;
+                        if rescue_mark[wgu] == gen && self.wgs[wgu].token == token {
+                            rescue_mark[wgu] = 0;
+                        }
+                    }
                 }
             }
         }
@@ -1159,6 +1358,90 @@ mod tests {
         assert_eq!(kinds, [InvariantKind::UnreachableWaiter]);
         // ...but the run-end sweep counted it, as the last event's check did.
         assert!(gpu.violations().is_empty(), "{:?}", gpu.violations());
+    }
+
+    /// Registers each failed waiter once, with a version, and never drops
+    /// a record: a waiter that retries and finishes leaves a stale one.
+    /// Only its 1,000-cycle fallback timeout wakes a waiter.
+    #[derive(Debug, Default)]
+    struct Sticky {
+        waiters: std::collections::BTreeMap<WgId, SyncCond>,
+        version: u64,
+    }
+
+    impl SchedPolicy for Sticky {
+        fn name(&self) -> &str {
+            "Sticky"
+        }
+        fn style(&self) -> SyncStyle {
+            SyncStyle::WaitingAtomic
+        }
+        fn on_sync_fail(&mut self, _ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
+            if self.waiters.insert(fail.wg, fail.cond).is_none() {
+                self.version += 1;
+            }
+            WaitDirective::Wait {
+                release: false,
+                timeout: Some(1_000),
+            }
+        }
+        fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+            for (&wg, &cond) in &self.waiters {
+                let structure = WaiterStructure::PolicyLocal;
+                visit(wg, WaiterRecord { cond, structure });
+            }
+        }
+        fn registry_version(&self) -> Option<u64> {
+            Some(self.version)
+        }
+    }
+
+    #[test]
+    fn record_kept_past_finish_is_stale_at_the_finish_under_a_held_version() {
+        // WG 0 raises a flag at ~3k cycles and computes on to ~23k; WG 1
+        // waits for the flag, then halts. Its finish calls the policy,
+        // which keeps its record and its version, so the registry read is
+        // skipped there: the stale count must still report it then, not
+        // at the 5k-cycle sweep.
+        const FLAG: u64 = 4096;
+        let mut b = ProgramBuilder::new("sticky");
+        let waiter = b.new_label();
+        let retry = b.new_label();
+        b.special(Reg::R1, Special::WgId);
+        b.br(Cond::Ne, Reg::R1, Operand::Imm(0), waiter);
+        b.compute(3_000);
+        b.atom_exch(Reg::R0, FLAG, 1i64);
+        b.compute(20_000);
+        b.halt();
+        b.bind(waiter);
+        b.bind(retry);
+        b.atom_cmp_wait(Reg::R0, FLAG, 1i64);
+        b.br(Cond::Ne, Reg::R0, Operand::Imm(1), retry);
+        b.halt();
+        let kernel = Kernel::new(b.build().unwrap(), 2, WgResources::default());
+        let mut gpu = Gpu::new(
+            GpuConfig::isca2020_baseline(),
+            kernel,
+            Box::new(Sticky::default()),
+        );
+        gpu.enable_invariant_oracle();
+        assert!(gpu.run().is_completed());
+        let finished = gpu.wgs[1].finished_at.expect("WG 1 finished");
+        assert!(finished < SWEEP_WINDOW, "WG 1 finished at {finished}");
+        let v = gpu.violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].kind, InvariantKind::StaleRegistration);
+        assert_eq!(
+            v[0].detail,
+            "WG 1 registered (PolicyLocal) but in state Finished"
+        );
+        // Stamped with the event whose interpreter batch ran the halt,
+        // a few issue slots before the halt's own cycle.
+        assert!(
+            (finished - 100..=finished).contains(&v[0].at),
+            "reported at {}, WG 1 finished at {finished}",
+            v[0].at
+        );
     }
 
     #[test]

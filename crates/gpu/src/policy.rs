@@ -325,6 +325,18 @@ pub trait SchedPolicy {
     /// timeouts visit nothing.
     fn for_each_waiter(&self, _visit: &mut dyn FnMut(WgId, WaiterRecord)) {}
 
+    /// A version of the registry [`Self::for_each_waiter`] visits, or
+    /// `None` (the default) when the policy keeps none. A policy that
+    /// returns `Some` must return a different value whenever the visit
+    /// could produce a different sequence of records than at any earlier
+    /// call that returned the same value. The invariant oracle then skips
+    /// re-reading a registry whose version and the L2's
+    /// [`monitored_version`](awg_mem::L2::monitored_version) both match
+    /// its last read; with `None` it re-reads after every policy call.
+    fn registry_version(&self) -> Option<u64> {
+        None
+    }
+
     /// Dump policy-internal measurements into the run statistics.
     fn report(&self, _stats: &mut Stats) {}
 

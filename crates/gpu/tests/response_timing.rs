@@ -1,8 +1,9 @@
 //! Timing of the response path, pinned to the machine configuration
 //! (Table 1): an atomic's issue-to-response time on a warm L2 line, the
-//! bank ALU serializing atomics that contend for one line, and a context
-//! save's DRAM traffic (Fig 5). Each expected figure is derived from
-//! `GpuConfig`, not measured.
+//! bank ALU serializing atomics that contend for one line, a load's
+//! issue-to-response time on an L1 hit and on an L1 miss that hits the L2,
+//! and a context save's DRAM traffic (Fig 5). Each expected figure is
+//! derived from `GpuConfig`, not measured.
 
 use awg_gpu::{
     BusyWaitPolicy, Gpu, GpuConfig, Kernel, PolicyCtx, SchedPolicy, SyncFail, SyncStyle,
@@ -107,6 +108,70 @@ fn contending_atomics_commit_one_alu_occupancy_apart() {
             "atomic {k} of {CONTENDERS}: {trips:?}"
         );
     }
+}
+
+/// A load's L1 lookup; on a hit the value comes back from the L1.
+fn l1_hit_load_cycles(config: &GpuConfig) -> Cycle {
+    config.l1.latency
+}
+
+/// A load that misses the L1 looks it up, then reads the L2 on an idle
+/// bank: L1→L2 trip, one bank access, L2→L1 trip.
+fn l2_hit_load_cycles(config: &GpuConfig) -> Cycle {
+    config.l1.latency + 2 * config.l2.cache.latency + config.l2.access_occupancy
+}
+
+/// Issue-to-response cycles of a load from `addr`. `warm` runs
+/// first, then an atomic on a marker line brackets the load on each side:
+/// the load issues one issue slot after the first marker's response, and
+/// the second marker one slot after the load's response.
+fn load_latency(warm: impl FnOnce(&mut ProgramBuilder), addr: u64) -> Cycle {
+    const MARK: u64 = 0x2040;
+    let config = GpuConfig::isca2020_baseline();
+    let mut b = ProgramBuilder::new("load_latency");
+    warm(&mut b);
+    b.compute(1_000);
+    b.atom_add(Reg::R0, MARK, 1i64);
+    b.ld(Reg::R5, addr);
+    b.atom_add(Reg::R0, MARK, 1i64);
+    b.halt();
+    let records = run_traced(Kernel::new(b.build().unwrap(), 1, WgResources::default()));
+    let marks: Vec<(Cycle, Cycle)> = atomic_round_trips(&records, 0)
+        .into_iter()
+        .rev()
+        .take(2)
+        .collect();
+    let ((second_issue, _), (_, first_done)) = (marks[0], marks[1]);
+    second_issue - first_done - 2 * config.issue_cycles
+}
+
+#[test]
+fn l1_hit_load_responds_after_the_l1_latency() {
+    let config = GpuConfig::isca2020_baseline();
+    assert_eq!(l1_hit_load_cycles(&config), 30);
+    // A first load fills the line in the CU's L1.
+    let cycles = load_latency(
+        |b| {
+            b.ld(Reg::R4, LINE);
+        },
+        LINE,
+    );
+    assert_eq!(cycles, l1_hit_load_cycles(&config));
+}
+
+#[test]
+fn l1_miss_load_responds_when_the_l2_read_completes() {
+    let config = GpuConfig::isca2020_baseline();
+    assert_eq!(l2_hit_load_cycles(&config), 30 + 50 + 2 + 50);
+    // Atomics execute at the L2 and leave the L1 alone: the line is warm
+    // in the L2 and cold in the L1.
+    let cycles = load_latency(
+        |b| {
+            b.atom_add(Reg::R4, LINE, 1i64);
+        },
+        LINE,
+    );
+    assert_eq!(cycles, l2_hit_load_cycles(&config));
 }
 
 /// Busy-waiting that can redispatch a preempted WG, so a run that loses a

@@ -120,6 +120,13 @@ pub struct Cache {
     hits: u64,
     misses: u64,
     bypasses: u64,
+    /// Valid lines with the monitored bit set, kept at every flip.
+    monitored: usize,
+    /// The most `monitored` has been since construction or the last
+    /// [`Cache::load`].
+    monitored_peak: usize,
+    /// Moves whenever some line's monitored bit may have flipped.
+    monitored_version: u64,
 }
 
 impl Cache {
@@ -142,6 +149,9 @@ impl Cache {
             hits: 0,
             misses: 0,
             bypasses: 0,
+            monitored: 0,
+            monitored_peak: 0,
+            monitored_version: 0,
         }
     }
 
@@ -255,21 +265,31 @@ impl Cache {
     /// `addr`. Returns `false` when the line is not resident — the caller
     /// must fill it first.
     pub fn set_monitored(&mut self, addr: Addr) -> bool {
-        match self.line_mut(addr) {
-            Some(l) => {
-                l.monitored = true;
-                l.pinned = true;
-                true
-            }
-            None => false,
+        let Some(l) = self.line_mut(addr) else {
+            return false;
+        };
+        let flipped = !l.monitored;
+        l.monitored = true;
+        l.pinned = true;
+        if flipped {
+            self.monitored += 1;
+            self.monitored_peak = self.monitored_peak.max(self.monitored);
+            self.monitored_version += 1;
         }
+        true
     }
 
     /// Clears the monitored bit and unpins the line. Idempotent.
     pub fn clear_monitored(&mut self, addr: Addr) {
-        if let Some(l) = self.line_mut(addr) {
-            l.monitored = false;
-            l.pinned = false;
+        let Some(l) = self.line_mut(addr) else {
+            return;
+        };
+        let flipped = l.monitored;
+        l.monitored = false;
+        l.pinned = false;
+        if flipped {
+            self.monitored -= 1;
+            self.monitored_version += 1;
         }
     }
 
@@ -283,9 +303,25 @@ impl Cache {
             .any(|l| l.valid && l.tag == tag && l.monitored)
     }
 
-    /// Number of monitored (pinned) lines currently resident.
+    /// Number of monitored (pinned) lines currently resident, in O(1).
     pub fn monitored_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid && l.monitored).count()
+        self.monitored
+    }
+
+    /// The most lines that were monitored at once since construction or
+    /// the last [`Cache::load`].
+    pub fn monitored_peak(&self) -> usize {
+        self.monitored_peak
+    }
+
+    /// A counter that moves whenever a monitored bit may have flipped: a
+    /// set or clear that changes a bit, a [`Cache::flush`], a
+    /// [`Cache::load`]. An idempotent set or clear leaves it alone, and no
+    /// miss evicts a monitored line (it is pinned), so while the counter
+    /// holds still [`Cache::is_monitored`] answers as before for every
+    /// address.
+    pub fn monitored_version(&self) -> u64 {
+        self.monitored_version
     }
 
     /// `(hits, misses, bypasses)` since construction.
@@ -293,11 +329,13 @@ impl Cache {
         (self.hits, self.misses, self.bypasses)
     }
 
-    /// Invalidates every line (keeps statistics).
+    /// Invalidates every line (keeps statistics and the monitored peak).
     pub fn flush(&mut self) {
         for l in &mut self.lines {
             *l = Line::default();
         }
+        self.monitored = 0;
+        self.monitored_version += 1;
     }
 
     /// Serializes the mutable tag-array state (lines, LRU tick, counters).
@@ -339,6 +377,10 @@ impl Cache {
             l.pinned = dec.bool()?;
             l.last_use = dec.u64()?;
         }
+        // The count is derived from the lines; the peak restarts from it.
+        self.monitored = self.lines.iter().filter(|l| l.valid && l.monitored).count();
+        self.monitored_peak = self.monitored;
+        self.monitored_version += 1;
         Ok(())
     }
 }

@@ -228,9 +228,24 @@ impl L2 {
         self.cache.is_monitored(addr)
     }
 
-    /// Number of monitored lines currently pinned.
+    /// Number of monitored lines currently pinned, in O(1): the count is
+    /// kept at every monitored-bit flip.
     pub fn monitored_lines(&self) -> usize {
         self.cache.monitored_lines()
+    }
+
+    /// The most lines that were monitored at once since construction or
+    /// the last [`L2::load`].
+    pub fn monitored_peak(&self) -> usize {
+        self.cache.monitored_peak()
+    }
+
+    /// A counter that moves only when some line's monitored bit flips (or
+    /// the tags are replaced by [`L2::load`]). While it holds still,
+    /// [`L2::is_monitored`] answers as before for every address, so a
+    /// reader may cache its answers against it.
+    pub fn monitored_version(&self) -> u64 {
+        self.cache.monitored_version()
     }
 
     /// Read-only view of the functional value store.
@@ -497,6 +512,83 @@ mod tests {
         let mut fresh = L2::with_dram(other_cfg, DramConfig::isca2020());
         let mut dec = Dec::new(&bytes);
         assert!(fresh.load(&mut dec).is_err());
+    }
+
+    #[test]
+    fn monitored_count_and_version_move_only_on_a_flip() {
+        let mut l2 = L2::new(L2Config::isca2020());
+        assert_eq!((l2.monitored_lines(), l2.monitored_peak()), (0, 0));
+        let v0 = l2.monitored_version();
+        assert!(l2.set_monitored(64));
+        assert!(l2.set_monitored(128));
+        let v1 = l2.monitored_version();
+        assert!(v1 > v0);
+        assert_eq!((l2.monitored_lines(), l2.monitored_peak()), (2, 2));
+        // Idempotent set, a second address on a monitored line, and a
+        // clear of a line that is not monitored: no flip, nothing moves.
+        assert!(l2.set_monitored(64));
+        assert!(l2.set_monitored(72));
+        l2.clear_monitored(192);
+        l2.clear_monitored(1 << 20);
+        assert_eq!(l2.monitored_version(), v1);
+        assert_eq!((l2.monitored_lines(), l2.monitored_peak()), (2, 2));
+        // Plain traffic to monitored and unmonitored lines flips nothing.
+        l2.atomic(0, add1(64));
+        l2.read(100, 4096);
+        l2.write(200, 8192, 1);
+        assert_eq!(l2.monitored_version(), v1);
+        // A real clear flips: the count falls, the peak stays.
+        l2.clear_monitored(64);
+        let v2 = l2.monitored_version();
+        assert!(v2 > v1);
+        assert_eq!((l2.monitored_lines(), l2.monitored_peak()), (1, 2));
+        l2.clear_monitored(64);
+        assert_eq!(l2.monitored_version(), v2);
+        assert_eq!(l2.monitored_lines(), 1);
+    }
+
+    #[test]
+    fn load_recounts_monitored_lines_and_moves_the_version() {
+        let mut l2 = L2::new(L2Config::isca2020());
+        l2.set_monitored(64);
+        l2.set_monitored(128);
+        l2.set_monitored(192);
+        l2.clear_monitored(192);
+        let mut enc = Enc::new();
+        l2.save(&mut enc);
+        let bytes = enc.into_bytes();
+
+        // Loading over a machine with its own monitored lines replaces
+        // them: the count is the snapshot's, the peak restarts from it.
+        let mut other = L2::new(L2Config::isca2020());
+        for i in 0..5 {
+            other.set_monitored(4096 + i * 64);
+        }
+        let before = other.monitored_version();
+        other.load(&mut Dec::new(&bytes)).unwrap();
+        assert!(other.monitored_version() > before);
+        assert_eq!((other.monitored_lines(), other.monitored_peak()), (2, 2));
+        assert!(other.is_monitored(64) && other.is_monitored(128));
+        assert!(!other.is_monitored(192) && !other.is_monitored(4096));
+    }
+
+    #[test]
+    fn flush_drops_every_monitored_line_and_moves_the_version() {
+        let mut c = Cache::new(CacheConfig::l2_isca2020());
+        for addr in [0u64, 64, 1 << 16] {
+            c.access(addr);
+            assert!(c.set_monitored(addr));
+        }
+        let before = c.monitored_version();
+        c.flush();
+        assert!(c.monitored_version() > before);
+        assert_eq!((c.monitored_lines(), c.monitored_peak()), (0, 3));
+        assert!(!c.is_monitored(0));
+        // Clearing after the flush finds no line: nothing moves.
+        let after = c.monitored_version();
+        c.clear_monitored(0);
+        assert_eq!(c.monitored_version(), after);
+        assert_eq!(c.monitored_lines(), 0);
     }
 
     #[test]

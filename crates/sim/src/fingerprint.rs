@@ -10,6 +10,13 @@
 //! The hash is not cryptographic; it only needs to make accidental
 //! collisions between near-identical machine states vanishingly unlikely
 //! while staying dependency-free and bit-stable across platforms.
+//!
+//! Machine-state words are mostly small (states, program counters, counts),
+//! so most of a word's eight bytes are high-order zeros. FNV-1a folds a zero
+//! byte as `state ^= 0; state *= PRIME`, a bare multiply, so a word's `k`
+//! trailing zero bytes (little-endian order) fold as one multiply by
+//! `PRIME^k`. [`Fingerprint64::push`] hashes only the significant bytes one
+//! by one and the rest that way; the digest is the byte-serial one.
 
 /// Streaming 64-bit FNV-1a hasher over words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,18 +27,37 @@ pub struct Fingerprint64 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
+/// `FNV_PRIME_POW[k]` is `FNV_PRIME^k` (wrapping): folding `k` zero bytes.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Fingerprint64 {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
         Fingerprint64 { state: FNV_OFFSET }
     }
 
-    /// Folds one unsigned word into the digest.
+    /// Folds one unsigned word into the digest: FNV-1a over its eight
+    /// little-endian bytes, with the high-order zero bytes folded in one
+    /// multiply (module docs).
+    #[inline]
     pub fn push(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        let significant = 8 - (word.leading_zeros() / 8) as usize;
+        let mut state = self.state;
+        let mut rest = word;
+        for _ in 0..significant {
+            state ^= rest & 0xFF;
+            state = state.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
         }
+        self.state = state.wrapping_mul(FNV_PRIME_POW[8 - significant]);
     }
 
     /// Folds one signed word into the digest.
