@@ -6,6 +6,13 @@
 //! waiter is released only while its condition actually holds, one waiter
 //! per condition per release step, so nearly every retry succeeds and the
 //! dynamic atomic count approaches the minimum.
+//!
+//! A release step runs on every write in the machine, so the policy does
+//! not walk its waited addresses to find the conditions that hold. It keeps
+//! them as an index instead, which each registration, reported write and
+//! emptied queue updates in place. A store it was never told about shows
+//! as a jump in the backing store's write version, and the index is then
+//! rebuilt by the full walk (DESIGN §4).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
@@ -14,7 +21,7 @@ use awg_gpu::{
     MonitoredUpdate, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, TimeoutAction,
     WaitDirective, WaiterRecord, WaiterStructure, Wake, WgId,
 };
-use awg_mem::Addr;
+use awg_mem::{Addr, L2};
 use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
 
 /// Interval between the oracle's staggered release steps.
@@ -30,6 +37,14 @@ pub struct MinResumePolicy {
     /// order is the release order, and one address's conditions sit
     /// together. A queue is never left empty.
     waiters: BTreeMap<(Addr, i64), VecDeque<WgId>>,
+    /// The conditions that hold, sorted: every key `(addr, v)` of
+    /// `waiters` whose word reads `v`. A word holds one value, so an
+    /// address has at most one entry. Exact while the backing store's
+    /// write version equals `synced`.
+    held: Vec<(Addr, i64)>,
+    /// The write version at which `held` was last exact; `None` until the
+    /// first release and after `load_state`.
+    synced: Option<u64>,
     /// Moves at every change to `waiters`: the registry version.
     version: u64,
     wakes: u64,
@@ -43,49 +58,115 @@ impl MinResumePolicy {
 
     fn remove_wg(&mut self, wg: WgId) {
         let mut removed = false;
-        self.waiters.retain(|_, q| {
+        let held = &mut self.held;
+        self.waiters.retain(|key, q| {
             let before = q.len();
             q.retain(|&w| w != wg);
             removed |= q.len() != before;
+            if q.is_empty() {
+                // An emptied condition no longer holds.
+                if let Ok(i) = held.binary_search(key) {
+                    held.remove(i);
+                }
+            }
             !q.is_empty()
         });
         self.version += u64::from(removed);
     }
 
-    /// Releases up to `per_cond` waiters of every condition that holds
-    /// now, appending them to `wakes` in `(addr, expected)` order. A word
-    /// holds one value, so at most one condition per address holds: the
-    /// walk looks up `(addr, value)` for each address in turn, then skips
-    /// the address's other conditions. A line's monitored bit clears when
-    /// the last condition on its address empties.
-    fn release_satisfied(
-        &mut self,
-        ctx: &mut PolicyCtx<'_>,
-        per_cond: usize,
-        wakes: &mut Vec<Wake>,
-    ) {
+    /// Re-derives `addr`'s entry in `held` from the word's value now.
+    fn refresh(&mut self, l2: &L2, addr: Addr) {
+        let key = (addr, l2.peek(addr));
+        let holds = self.waiters.contains_key(&key);
+        match self.held.binary_search_by_key(&addr, |&(a, _)| a) {
+            Ok(i) if holds => self.held[i] = key,
+            Ok(i) => {
+                self.held.remove(i);
+            }
+            Err(i) if holds => self.held.insert(i, key),
+            Err(_) => {}
+        }
+    }
+
+    /// The full walk: appends every held condition to `out` in address
+    /// order. It looks up `(addr, value)` for each waited address in turn,
+    /// then skips the address's other conditions.
+    fn walk_held(&self, l2: &L2, out: &mut Vec<(Addr, i64)>) {
         let mut next = self.waiters.keys().next().map(|&(addr, _)| addr);
         while let Some(addr) = next {
-            let key = (addr, ctx.l2.peek(addr));
-            if let Some(q) = self.waiters.get_mut(&key) {
-                for _ in 0..per_cond {
-                    let Some(wg) = q.pop_front() else { break };
-                    wakes.push(Wake::now(wg));
-                    self.wakes += 1;
-                    self.version += 1;
-                }
-                if q.is_empty() {
-                    self.waiters.remove(&key);
-                    if !self.has_conditions_on(addr) {
-                        ctx.l2.clear_monitored(addr);
-                    }
-                }
+            let key = (addr, l2.peek(addr));
+            if self.waiters.contains_key(&key) {
+                out.push(key);
             }
             next = self
                 .waiters
                 .range((Bound::Excluded((addr, i64::MAX)), Bound::Unbounded))
                 .next()
                 .map(|(&(addr, _), _)| addr);
+        }
+    }
+
+    /// Makes `held` exact for memory as it reads now. `reported` is the
+    /// write that prompted the release, if any. Between one release and
+    /// the next, the backing store's write version moves by the stores
+    /// made since: none leaves every word as it was, and one that a
+    /// value-changing report accounts for touched only the reported word.
+    /// Any other count includes a store the policy never saw, so the index
+    /// is rebuilt by the full walk.
+    fn sync(&mut self, l2: &L2, reported: Option<&MonitoredUpdate>) {
+        let version = l2.backing().write_version();
+        match (self.synced.map(|s| version.wrapping_sub(s)), reported) {
+            (Some(0), _) => {}
+            (Some(1), Some(update)) if update.old != update.new => self.refresh(l2, update.addr),
+            _ => {
+                let mut held = std::mem::take(&mut self.held);
+                held.clear();
+                self.walk_held(l2, &mut held);
+                self.held = held;
+            }
+        }
+        self.synced = Some(version);
+    }
+
+    /// Releases up to `per_cond` waiters of every condition that holds
+    /// now, appending them to `wakes` in `(addr, expected)` order. A line's
+    /// monitored bit clears when the last condition on its address
+    /// empties. `held` must be in sync.
+    fn release_satisfied(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        per_cond: usize,
+        wakes: &mut Vec<Wake>,
+    ) {
+        if cfg!(debug_assertions) {
+            let mut walked = Vec::new();
+            self.walk_held(ctx.l2, &mut walked);
+            assert_eq!(
+                self.held, walked,
+                "held-condition index diverged from the walk"
+            );
+        }
+        let mut i = 0;
+        while let Some(&key) = self.held.get(i) {
+            let q = self
+                .waiters
+                .get_mut(&key)
+                .expect("a held condition has waiters");
+            for _ in 0..per_cond {
+                let Some(wg) = q.pop_front() else { break };
+                wakes.push(Wake::now(wg));
+                self.wakes += 1;
+                self.version += 1;
+            }
+            if q.is_empty() {
+                self.waiters.remove(&key);
+                self.held.remove(i);
+                if !self.has_conditions_on(key.0) {
+                    ctx.l2.clear_monitored(key.0);
+                }
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -113,6 +194,7 @@ impl SchedPolicy for MinResumePolicy {
             .or_default()
             .push_back(fail.wg);
         self.version += 1;
+        self.refresh(ctx.l2, fail.cond.addr);
         WaitDirective::Wait {
             release: ctx.oversubscribed(),
             timeout: Some(ORACLE_FALLBACK),
@@ -130,6 +212,7 @@ impl SchedPolicy for MinResumePolicy {
         }
         // Release at most one waiter per now-satisfied condition; the
         // stagger tick trickles out the rest without contention.
+        self.sync(ctx.l2, Some(update));
         self.release_satisfied(ctx, 1, wakes);
     }
 
@@ -157,6 +240,7 @@ impl SchedPolicy for MinResumePolicy {
     }
 
     fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.sync(ctx.l2, None);
         self.release_satisfied(ctx, 1, wakes);
     }
 
@@ -223,6 +307,9 @@ impl SchedPolicy for MinResumePolicy {
             }
         }
         self.waiters = waiters;
+        // The index is not saved: rebuild it at the next release.
+        self.held.clear();
+        self.synced = None;
         self.version += 1;
         self.wakes = dec.u64()?;
         Ok(())
@@ -233,7 +320,8 @@ impl SchedPolicy for MinResumePolicy {
 mod tests {
     use super::*;
     use crate::policies::CollectWakes;
-    use awg_mem::{L2Config, L2};
+    use awg_mem::L2Config;
+    use proptest::prelude::*;
 
     fn fail(wg: WgId, addr: u64, expected: i64) -> SyncFail {
         SyncFail {
@@ -359,5 +447,259 @@ mod tests {
             ctx.l2.backing_mut().store(64, 1);
             assert!(p.tick_wakes(&mut ctx).is_empty());
         });
+    }
+
+    /// MinResume without the held index, the reference the policy must
+    /// match: every release walks each waited address and peeks its word.
+    #[derive(Default)]
+    struct FullWalk {
+        waiters: BTreeMap<(Addr, i64), VecDeque<WgId>>,
+        version: u64,
+    }
+
+    impl FullWalk {
+        fn register(&mut self, l2: &mut L2, wg: WgId, addr: Addr, expected: i64) {
+            l2.set_monitored(addr);
+            self.waiters
+                .entry((addr, expected))
+                .or_default()
+                .push_back(wg);
+            self.version += 1;
+        }
+
+        fn release(&mut self, l2: &mut L2) -> Vec<Wake> {
+            let mut wakes = Vec::new();
+            let mut next = self.waiters.keys().next().map(|&(addr, _)| addr);
+            while let Some(addr) = next {
+                let key = (addr, l2.peek(addr));
+                if let Some(q) = self.waiters.get_mut(&key) {
+                    wakes.push(Wake::now(q.pop_front().expect("queues are never empty")));
+                    self.version += 1;
+                    if q.is_empty() {
+                        self.waiters.remove(&key);
+                        if self
+                            .waiters
+                            .range((addr, i64::MIN)..=(addr, i64::MAX))
+                            .next()
+                            .is_none()
+                        {
+                            l2.clear_monitored(addr);
+                        }
+                    }
+                }
+                next = self
+                    .waiters
+                    .range((Bound::Excluded((addr, i64::MAX)), Bound::Unbounded))
+                    .next()
+                    .map(|(&(addr, _), _)| addr);
+            }
+            wakes
+        }
+
+        fn remove_wg(&mut self, wg: WgId) {
+            let mut removed = false;
+            self.waiters.retain(|_, q| {
+                let before = q.len();
+                q.retain(|&w| w != wg);
+                removed |= q.len() != before;
+                !q.is_empty()
+            });
+            self.version += u64::from(removed);
+        }
+    }
+
+    /// Waited addresses: the first two share a line.
+    const ADDRS: [Addr; 4] = [64, 72, 128, 192];
+
+    /// One step of a generated interleaving; `usize` fields index `ADDRS`.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A WG's check fails and it registers `(addr, expected)`.
+        Fail(WgId, usize, i64),
+        /// A plain store, reported: the backing store counts it even when
+        /// the value is unchanged.
+        Store(usize, i64),
+        /// A writing atomic, reported: it stores only a changed value.
+        Atomic(usize, i64),
+        /// An atomic that writes nothing (a load, a failed CAS), reported.
+        AtomicNoWrite(usize),
+        /// A store the policy never hears of.
+        Unreported(usize, i64),
+        Tick,
+        Timeout(WgId),
+        Finish(WgId),
+        /// Both sides save their state.
+        Save,
+        /// Both sides load the last saved state, if any, into themselves.
+        Load,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u32..6, 0usize..4, 0i64..3).prop_map(|(wg, a, v)| Step::Fail(wg, a, v)),
+            (0u32..6, 0usize..4, 0i64..3).prop_map(|(wg, a, v)| Step::Fail(wg, a, v)),
+            (0usize..4, 0i64..3).prop_map(|(a, v)| Step::Store(a, v)),
+            (0usize..4, 0i64..3).prop_map(|(a, v)| Step::Atomic(a, v)),
+            (0usize..4).prop_map(Step::AtomicNoWrite),
+            (0usize..4, 0i64..3).prop_map(|(a, v)| Step::Unreported(a, v)),
+            Just(Step::Tick),
+            (0u32..6).prop_map(Step::Timeout),
+            (0u32..6).prop_map(Step::Finish),
+            Just(Step::Save),
+            Just(Step::Load),
+        ]
+    }
+
+    fn ctx<'a>(l2: &'a mut L2, stats: &'a mut Stats) -> PolicyCtx<'a> {
+        PolicyCtx {
+            now: 0,
+            l2,
+            stats,
+            pending_wgs: 0,
+            ready_wgs: 0,
+            swapped_waiting_wgs: 0,
+            total_wgs: 8,
+        }
+    }
+
+    /// Drives `steps` through the policy and the full-walk reference, each
+    /// on its own L2, and compares every observable after every step.
+    fn run_against_full_walk(steps: &[Step]) {
+        let mut p = MinResumePolicy::new();
+        let mut reference = FullWalk::default();
+        let mut l2 = L2::new(L2Config::isca2020());
+        let mut ref_l2 = L2::new(L2Config::isca2020());
+        let mut stats = Stats::new();
+        let mut saved = None;
+        for step in steps {
+            // Applies a store to both memories and builds its report.
+            let write = |l2: &mut L2, ref_l2: &mut L2, a: usize, new: i64, plain: bool| {
+                let addr = ADDRS[a];
+                let old = l2.peek(addr);
+                if plain || new != old {
+                    l2.backing_mut().store(addr, new);
+                    ref_l2.backing_mut().store(addr, new);
+                }
+                MonitoredUpdate {
+                    addr,
+                    old,
+                    new,
+                    wrote: true,
+                    monitored: l2.is_monitored(addr),
+                    by_wg: 99,
+                }
+            };
+            let (got, want) = match *step {
+                Step::Fail(wg, a, expected) => {
+                    p.on_sync_fail(&mut ctx(&mut l2, &mut stats), &fail(wg, ADDRS[a], expected));
+                    reference.register(&mut ref_l2, wg, ADDRS[a], expected);
+                    (Vec::new(), Vec::new())
+                }
+                Step::Store(a, v) | Step::Atomic(a, v) => {
+                    let plain = matches!(step, Step::Store(..));
+                    let update = write(&mut l2, &mut ref_l2, a, v, plain);
+                    let got = p.update_wakes(&mut ctx(&mut l2, &mut stats), &update);
+                    (got, reference.release(&mut ref_l2))
+                }
+                Step::AtomicNoWrite(a) => {
+                    let addr = ADDRS[a];
+                    let value = l2.peek(addr);
+                    let update = MonitoredUpdate {
+                        addr,
+                        old: value,
+                        new: value,
+                        wrote: false,
+                        monitored: l2.is_monitored(addr),
+                        by_wg: 99,
+                    };
+                    let got = p.update_wakes(&mut ctx(&mut l2, &mut stats), &update);
+                    (got, Vec::new())
+                }
+                Step::Unreported(a, v) => {
+                    l2.backing_mut().store(ADDRS[a], v);
+                    ref_l2.backing_mut().store(ADDRS[a], v);
+                    (Vec::new(), Vec::new())
+                }
+                Step::Tick => {
+                    let got = p.tick_wakes(&mut ctx(&mut l2, &mut stats));
+                    (got, reference.release(&mut ref_l2))
+                }
+                Step::Timeout(wg) => {
+                    let cond = SyncCond {
+                        addr: ADDRS[0],
+                        expected: 0,
+                    };
+                    let action = p.on_wait_timeout(&mut ctx(&mut l2, &mut stats), wg, &cond);
+                    assert_eq!(action, TimeoutAction::Wake);
+                    reference.remove_wg(wg);
+                    (Vec::new(), Vec::new())
+                }
+                Step::Finish(wg) => {
+                    p.on_wg_finished(&mut ctx(&mut l2, &mut stats), wg);
+                    reference.remove_wg(wg);
+                    (Vec::new(), Vec::new())
+                }
+                Step::Save => {
+                    let mut enc = Enc::new();
+                    p.save_state(&mut enc);
+                    saved = Some((enc.into_bytes(), reference.waiters.clone()));
+                    (Vec::new(), Vec::new())
+                }
+                Step::Load => {
+                    if let Some((bytes, waiters)) = &saved {
+                        p.load_state(&mut Dec::new(bytes)).expect("round trip");
+                        reference.waiters = waiters.clone();
+                        reference.version += 1;
+                    }
+                    (Vec::new(), Vec::new())
+                }
+            };
+            assert_eq!(got, want, "wake list after {step:?}");
+            for addr in ADDRS {
+                assert_eq!(
+                    l2.is_monitored(addr),
+                    ref_l2.is_monitored(addr),
+                    "monitored bit of {addr:#x} after {step:?}"
+                );
+            }
+            let mut visited = Vec::new();
+            p.for_each_waiter(&mut |wg, rec| visited.push((rec.cond.addr, rec.cond.expected, wg)));
+            let expected: Vec<_> = reference
+                .waiters
+                .iter()
+                .flat_map(|(&(addr, v), q)| q.iter().map(move |&wg| (addr, v, wg)))
+                .collect();
+            assert_eq!(visited, expected, "waiters after {step:?}");
+            assert_eq!(
+                p.registry_version(),
+                Some(reference.version),
+                "after {step:?}"
+            );
+        }
+    }
+
+    /// One unreported store makes `(64, 1)` hold. The reported atomic then
+    /// rewrites 128's value, so it stores nothing: the write version moved
+    /// by one, but not at the reported word, and the index must be rebuilt.
+    #[test]
+    fn a_same_value_write_after_an_unreported_store_rebuilds_the_index() {
+        run_against_full_walk(&[
+            Step::Fail(0, 0, 1),
+            Step::Tick,
+            Step::Unreported(0, 1),
+            Step::Atomic(2, 0),
+        ]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of registrations, reported and unreported
+        /// stores, ticks, timeouts, finishes, saves and loads release
+        /// exactly what the full walk releases.
+        #[test]
+        fn held_index_matches_the_full_walk(steps in prop::collection::vec(step_strategy(), 1..80)) {
+            run_against_full_walk(&steps);
+        }
     }
 }

@@ -165,8 +165,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::SimError::Config`] if `num_wgs == 0` or the program
-    /// fails verification.
+    /// Returns [`crate::SimError::Config`] if `num_wgs` is 0 or exceeds
+    /// [`crate::WgId::MAX`], or if the program fails verification.
     pub fn try_new(
         program: Program,
         num_wgs: u64,
@@ -176,6 +176,12 @@ impl Kernel {
             return Err(crate::SimError::Config(
                 "kernel needs at least one WG".into(),
             ));
+        }
+        if num_wgs > u64::from(crate::WgId::MAX) {
+            return Err(crate::SimError::Config(format!(
+                "kernel has {num_wgs} WGs; WG ids allow at most {}",
+                crate::WgId::MAX
+            )));
         }
         if let Err(e) = program.verify() {
             return Err(crate::SimError::Config(format!(
@@ -252,6 +258,18 @@ mod tests {
         let b = big.context_bytes(64);
         assert!((2 * 1024..=4 * 1024).contains(&s), "small context {s}");
         assert!((8 * 1024..=10 * 1024).contains(&b), "big context {b}");
+    }
+
+    #[test]
+    fn kernel_rejects_more_wgs_than_wg_ids() {
+        let err = Kernel::try_new(halt_program(), 1 << 33, WgResources::default()).unwrap_err();
+        assert!(matches!(err, crate::SimError::Config(_)), "{err}");
+        assert!(Kernel::try_new(
+            halt_program(),
+            u64::from(crate::WgId::MAX),
+            WgResources::default()
+        )
+        .is_ok());
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl Gpu {
     /// # Errors
     ///
     /// Returns [`SimError::Config`] if the kernel's WGs cannot fit on even
-    /// one CU.
+    /// one CU, or if the host cannot allocate the per-WG state.
     pub fn try_new(
         config: GpuConfig,
         kernel: Kernel,
@@ -333,25 +333,38 @@ impl Gpu {
         if cus.is_empty() || cus[0].max_occupancy(&kernel.resources) < 1 {
             return Err(SimError::Config("a single WG must fit on a CU".into()));
         }
-        let wgs = (0..kernel.num_wgs).map(|i| Wg::new(i as WgId)).collect();
+        let out_of_memory = |what: &str| {
+            SimError::Config(format!("cannot allocate {what} for {} WGs", kernel.num_wgs))
+        };
+        let num_wgs = usize::try_from(kernel.num_wgs).map_err(|_| out_of_memory("WG state"))?;
+        let mut wgs = Vec::new();
+        wgs.try_reserve_exact(num_wgs)
+            .map_err(|_| out_of_memory("WG state"))?;
+        wgs.extend((0..kernel.num_wgs).map(|i| Wg::new(i as WgId)));
         let mut l2 = L2::with_dram(config.l2, config.dram);
         for &(addr, value) in &kernel.init_memory {
             l2.backing_mut().store(addr, value);
         }
-        let pending = (0..kernel.num_wgs as WgId).collect();
+        let mut pending = VecDeque::new();
+        pending
+            .try_reserve_exact(num_wgs)
+            .map_err(|_| out_of_memory("the dispatch queue"))?;
+        pending.extend(0..kernel.num_wgs as WgId);
         // Pre-size the event arena from the machine's shape: steady state
         // holds a few in-flight events per work-group (response, wake,
         // timeout) plus token-stale timeout residue, well under 8 per WG.
-        let event_capacity = (kernel.num_wgs as usize).saturating_mul(8) + 64;
+        let event_capacity = num_wgs.saturating_mul(8).saturating_add(64);
+        let events = EventQueue::try_with_capacity(event_capacity)
+            .map_err(|_| out_of_memory("the event calendar"))?;
         let mut state_census = [0usize; WgState::ALL.len()];
-        state_census[WgState::Pending.census_index()] = kernel.num_wgs as usize;
+        state_census[WgState::Pending.census_index()] = num_wgs;
         Ok(Gpu {
             config,
             kernel,
             l2,
             cus,
             wgs,
-            events: EventQueue::with_capacity(event_capacity),
+            events,
             now: 0,
             policy,
             stats: Stats::new(),

@@ -248,7 +248,13 @@ fn run_asm(path: &str, policy: PolicyKind, wgs: u64, scale: &Scale) -> ExitCode 
             return ExitCode::from(EXIT_FAIL);
         }
     };
-    let mut gpu = Gpu::new(scale.gpu.clone(), kernel, build_policy(policy));
+    let mut gpu = match Gpu::try_new(scale.gpu.clone(), kernel, build_policy(policy)) {
+        Ok(gpu) => gpu,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return ExitCode::from(EXIT_FAIL);
+        }
+    };
     match gpu.run() {
         RunOutcome::Completed(s) => {
             println!(

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use awg_harness::exit::{
-    EXIT_CONFORMANCE, EXIT_CORRUPT, EXIT_PARTIAL, EXIT_PLAN, EXIT_REGRESSION, EXIT_USAGE,
+    EXIT_CONFORMANCE, EXIT_CORRUPT, EXIT_FAIL, EXIT_PARTIAL, EXIT_PLAN, EXIT_REGRESSION, EXIT_USAGE,
 };
 
 fn awg_repro(args: &[&str]) -> Output {
@@ -64,6 +64,15 @@ fn successful_campaign_exits_zero() {
     let out = awg_repro(&["--quick", "fig5"]);
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     assert!(String::from_utf8_lossy(&out.stdout).contains("Fig 5"));
+}
+
+#[test]
+fn asm_with_more_wgs_than_wg_ids_fails_with_a_message() {
+    let kernel = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../kernels/ticket_lock.s");
+    let out = awg_repro(&["asm", kernel.to_str().unwrap(), "--wgs", "5000000000"]);
+    assert_eq!(out.status.code(), Some(EXIT_FAIL as i32), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("5000000000 WGs"), "{stderr}");
 }
 
 #[test]

@@ -56,8 +56,9 @@ impl Backing {
         }
     }
 
-    /// Total number of stores ever performed (used by the deadlock detector
-    /// as a cheap "has global state changed?" clock).
+    /// Total number of stores ever performed, including stores of an
+    /// unchanged value: a cheap "has global state changed?" clock. The
+    /// MinResume oracle reads it to notice stores it was not told about.
     pub fn write_version(&self) -> u64 {
         self.writes
     }

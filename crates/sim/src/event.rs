@@ -19,7 +19,11 @@
 //!   (the 4096 cycles starting at the cursor) sits in the bucket for its
 //!   cycle. Because the horizon is exactly one wheel revolution, a bucket
 //!   never mixes cycles; appending to a bucket therefore preserves the FIFO
-//!   tie-break for free, with no per-entry comparisons at all.
+//!   tie-break for free, with no per-entry comparisons at all. A bucket is
+//!   a singly linked FIFO list threaded through the arena: the wheel holds
+//!   only each bucket's `head` and `tail` slot index (32 KB in all), and
+//!   each slot holds the index of the `next` one, so appending and popping
+//!   touch the slot itself and no per-bucket buffer.
 //! * **Overflow** — events beyond the horizon, and retro events scheduled
 //!   behind the cursor (the machine does this when re-arming timeouts at
 //!   `max(deadline, now)` boundaries and after restores), go to a binary
@@ -34,7 +38,7 @@
 //!   overflow-before-wheel preserves FIFO order exactly; within the heap,
 //!   the `seq` field of the key keeps same-cycle entries FIFO.
 //! * **Arena** — event payloads live in generation-tagged slots with a
-//!   free list; buckets and the overflow heap store slot references, not
+//!   free list; bucket lists and the overflow heap refer to slots, not
 //!   boxed events. Popping frees the slot for reuse, so a steady-state run
 //!   allocates nothing after warmup, and
 //!   [`with_capacity`](EventQueue::with_capacity) pre-sizes the arena from
@@ -46,7 +50,7 @@
 //! both against each other with seeded interleavings to prove it.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, TryReserveError};
 
 use crate::time::Cycle;
 
@@ -57,6 +61,9 @@ use crate::time::Cycle;
 /// sleep backoffs, and far-future fault injections take the overflow path.
 const WHEEL_CYCLES: usize = 4096;
 const WHEEL_MASK: u64 = (WHEEL_CYCLES as u64) - 1;
+
+/// The end of a bucket list, and an empty bucket's `head` and `tail`.
+const NIL: u32 = u32::MAX;
 
 /// A generation-tagged reference into the slot arena.
 #[derive(Debug, Clone, Copy)]
@@ -81,26 +88,26 @@ struct Slot<E> {
     /// Bumped every time the slot is freed; a stale [`SlotRef`] can then be
     /// detected instead of silently resolving to a recycled event.
     gen: u32,
+    /// The slot after this one in its wheel bucket, or [`NIL`].
+    next: u32,
     cycle: Cycle,
     seq: u64,
     /// `None` while the slot sits on the free list.
     event: Option<E>,
 }
 
-/// One wheel bucket: slot refs in scheduling (= seq) order. `front` marks
-/// the consumed prefix while the bucket's cycle is being drained, so a
-/// same-cycle burst pops as a pointer walk, not repeated `remove(0)`.
-#[derive(Debug, Default)]
+/// One wheel bucket: a FIFO list of slot indices in scheduling (= seq)
+/// order, linked through [`Slot::next`]. Both ends are [`NIL`] when empty.
+#[derive(Debug, Clone, Copy)]
 struct Bucket {
-    items: Vec<SlotRef>,
-    front: usize,
+    head: u32,
+    tail: u32,
 }
 
-impl Bucket {
-    fn is_empty(&self) -> bool {
-        self.front == self.items.len()
-    }
-}
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A deterministic priority queue of `(cycle, event)` pairs.
 ///
@@ -150,12 +157,10 @@ impl<E> EventQueue<E> {
     /// work-group plus stale-timeout residue) so steady-state runs never
     /// grow the arena mid-flight.
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut wheel = Vec::with_capacity(WHEEL_CYCLES);
-        wheel.resize_with(WHEEL_CYCLES, Bucket::default);
         EventQueue {
             slots: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
-            wheel,
+            wheel: vec![EMPTY_BUCKET; WHEEL_CYCLES],
             occupancy: [0; WHEEL_CYCLES / 64],
             cursor: 0,
             overflow: BinaryHeap::new(),
@@ -165,10 +170,20 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Fallible [`with_capacity`](Self::with_capacity): returns an error
+    /// instead of aborting when the host cannot allocate the arena.
+    pub fn try_with_capacity(capacity: usize) -> Result<Self, TryReserveError> {
+        let mut q = Self::new();
+        q.slots.try_reserve_exact(capacity)?;
+        q.free.try_reserve_exact(capacity)?;
+        Ok(q)
+    }
+
     fn alloc_slot(&mut self, cycle: Cycle, seq: u64, event: E) -> SlotRef {
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
             debug_assert!(slot.event.is_none(), "free list points at a live slot");
+            slot.next = NIL;
             slot.cycle = cycle;
             slot.seq = seq;
             slot.event = Some(event);
@@ -177,6 +192,7 @@ impl<E> EventQueue<E> {
             let idx = self.slots.len() as u32;
             self.slots.push(Slot {
                 gen: 0,
+                next: NIL,
                 cycle,
                 seq,
                 event: Some(event),
@@ -239,14 +255,17 @@ impl<E> EventQueue<E> {
     fn insert_ref(&mut self, at: Cycle, seq: u64, r: SlotRef) {
         if at >= self.cursor && at - self.cursor < WHEEL_CYCLES as u64 {
             let bucket = self.bucket_index(at);
-            debug_assert!(
-                self.wheel[bucket].is_empty()
-                    || self.slots[self.wheel[bucket].items[self.wheel[bucket].front].idx as usize]
-                        .cycle
-                        == at,
-                "wheel bucket mixes cycles"
-            );
-            self.wheel[bucket].items.push(r);
+            let b = &mut self.wheel[bucket];
+            if b.tail == NIL {
+                b.head = r.idx;
+            } else {
+                debug_assert_eq!(
+                    self.slots[b.head as usize].cycle, at,
+                    "wheel bucket mixes cycles"
+                );
+                self.slots[b.tail as usize].next = r.idx;
+            }
+            b.tail = r.idx;
             self.set_bit(bucket);
             self.wheel_len += 1;
         } else {
@@ -292,15 +311,15 @@ impl<E> EventQueue<E> {
         } else {
             let bucket = self.bucket_index(cycle);
             let b = &mut self.wheel[bucket];
-            let r = b.items[b.front];
-            b.front += 1;
-            if b.is_empty() {
-                b.items.clear();
-                b.front = 0;
+            let idx = b.head;
+            let Slot { next, gen, .. } = self.slots[idx as usize];
+            b.head = next;
+            if next == NIL {
+                b.tail = NIL;
                 self.clear_bit(bucket);
             }
             self.wheel_len -= 1;
-            r
+            SlotRef { idx, gen }
         };
         self.len -= 1;
         self.cursor = self.cursor.max(cycle);
@@ -353,10 +372,7 @@ impl<E> EventQueue<E> {
         }
         self.free.clear();
         self.free.extend((0..self.slots.len() as u32).rev());
-        for b in &mut self.wheel {
-            b.items.clear();
-            b.front = 0;
-        }
+        self.wheel.fill(EMPTY_BUCKET);
         self.occupancy = [0; WHEEL_CYCLES / 64];
         self.overflow.clear();
         self.wheel_len = 0;

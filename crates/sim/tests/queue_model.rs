@@ -1,7 +1,8 @@
 //! Model-based battery for the calendar-queue [`EventQueue`].
 //!
 //! The production queue is a 4096-cycle timer wheel with a binary-heap
-//! overflow tier and an arena/free-list slot store; the *model* here is
+//! overflow tier and an arena/free-list slot store, each wheel bucket a
+//! FIFO list linked through the arena's slots; the *model* here is
 //! the data structure it replaced — a plain binary heap of
 //! `(cycle, seq, payload)` with FIFO sequence tie-breaks. Every generated
 //! interleaving drives both side by side and demands identical observable
@@ -9,13 +10,14 @@
 //! `len`, snapshot contents, and arena accounting.
 //!
 //! The op mix is tuned to hit the queue's structurally distinct regimes:
-//! same-cycle bursts (bucket `front` cursor), far-future schedules (the
-//! overflow tier beyond the 4096-cycle horizon), retro schedules (behind
-//! the wheel cursor, also overflow), same-cycle ties split across the two
-//! tiers (an overflow event whose cycle later enters the horizon, then a
-//! wheel event at that cycle), wheel wraparound (popping across many
-//! revolutions), and snapshot/restore mid-stream (horizon rebasing plus
-//! seq-counter continuation).
+//! same-cycle bursts (a bucket list's `head`/`tail` and `next` links),
+//! far-future schedules (the overflow tier beyond the 4096-cycle
+//! horizon), retro schedules (behind the wheel cursor, also overflow),
+//! same-cycle ties split across the two tiers (an overflow event whose
+//! cycle later enters the horizon, then a wheel event at that cycle),
+//! wheel wraparound (popping across many revolutions), and
+//! snapshot/restore mid-stream (horizon rebasing plus seq-counter
+//! continuation).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
