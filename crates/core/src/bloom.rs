@@ -16,16 +16,27 @@ pub const BLOOM_BITS: usize = 24;
 /// Default number of hash functions (§V.C).
 pub const BLOOM_HASHES: usize = 6;
 
+/// The hash functions every filter shares: members 101–106 of the family.
+static HASHES: [UniversalHash; BLOOM_HASHES] = {
+    let mut hashes = [UniversalHash::nth(0); BLOOM_HASHES];
+    let mut i = 0;
+    while i < BLOOM_HASHES {
+        hashes[i] = UniversalHash::nth(i as u64 + 101);
+        i += 1;
+    }
+    hashes
+};
+
 /// A small Bloom filter that counts *unique* values inserted into it.
 ///
 /// An insert whose bits are already all set is considered a duplicate (this
 /// is where the false-positive probability lives); otherwise the unique
-/// counter increments.
+/// counter increments. Every filter uses the same six hash functions, so a
+/// filter holds only its bits, width and count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingBloom {
     bits: u32,
     nbits: u32,
-    hashes: [UniversalHash; BLOOM_HASHES],
     unique: u32,
 }
 
@@ -45,17 +56,20 @@ impl CountingBloom {
         CountingBloom {
             bits: 0,
             nbits,
-            hashes: std::array::from_fn(|i| UniversalHash::nth(i as u64 + 101)),
             unique: 0,
         }
     }
 
+    /// The bits `value` sets.
+    fn mask(&self, value: i64) -> u32 {
+        HASHES.iter().fold(0, |mask, h| {
+            mask | (1 << h.hash(value as u64, u64::from(self.nbits)))
+        })
+    }
+
     /// Inserts `value`; returns `true` when it was (probably) new.
     pub fn insert(&mut self, value: i64) -> bool {
-        let mut mask = 0u32;
-        for h in &self.hashes {
-            mask |= 1 << h.hash(value as u64, self.nbits as u64);
-        }
+        let mask = self.mask(value);
         let novel = (self.bits & mask) != mask;
         self.bits |= mask;
         if novel {
@@ -66,10 +80,7 @@ impl CountingBloom {
 
     /// Whether `value` has (probably) been inserted.
     pub fn contains(&self, value: i64) -> bool {
-        let mut mask = 0u32;
-        for h in &self.hashes {
-            mask |= 1 << h.hash(value as u64, self.nbits as u64);
-        }
+        let mask = self.mask(value);
         (self.bits & mask) == mask
     }
 

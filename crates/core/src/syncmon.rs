@@ -154,17 +154,20 @@ impl SyncMon {
     }
 
     fn find_entry(&self, cond: &SyncCond) -> Option<usize> {
-        let set = self.set_of(cond);
+        self.find_in(self.set_of(cond), cond)
+    }
+
+    fn find_in(&self, set: usize, cond: &SyncCond) -> Option<usize> {
         self.slot_range(set)
             .find(|&i| self.entries[i].is_some_and(|e| e.cond == *cond))
     }
 
     /// Registers `wg` as waiting on `cond` at time `now`.
     pub fn register(&mut self, cond: SyncCond, wg: WgId, now: u64) -> RegisterOutcome {
-        let slot = match self.find_entry(&cond) {
+        let set = self.set_of(&cond);
+        let slot = match self.find_in(set, &cond) {
             Some(i) => i,
             None => {
-                let set = self.set_of(&cond);
                 let Some(free_way) = self.slot_range(set).find(|&i| self.entries[i].is_none())
                 else {
                     self.spills += 1;

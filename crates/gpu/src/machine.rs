@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use std::time::{Duration, Instant};
 
-use awg_isa::{Inst, Mem, Operand, Special};
+use awg_isa::{Inst, Mem, Operand, RegFile, Special};
 use awg_mem::{Addr, AtomicRequest, Backing, L2};
 use awg_sim::telemetry::{
     AttributionCause, SnapshotSample, Subsystem, SwapDir, ATTRIBUTION_CAUSES, PROGRESS_STATES,
@@ -39,6 +39,15 @@ use crate::wg::{ParkedResponse, Wg, WgId, WgState};
 /// Maximum instructions interpreted inline before yielding to the event
 /// queue (guards against ALU-only infinite loops freezing simulated time).
 const MAX_INLINE_STEPS: usize = 1024;
+
+/// The value of `op` in the register file `regs`.
+#[inline]
+fn value_of(regs: &RegFile, op: Operand) -> i64 {
+    match op {
+        Operand::Imm(v) => v,
+        Operand::Reg(r) => regs.get(r),
+    }
+}
 
 /// Fallback timeout forced onto `Wait { timeout: None }` directives while a
 /// fault plan is installed: dropped wakes must never strand a waiter
@@ -892,10 +901,10 @@ impl Gpu {
             resident.sort_unstable();
             f.push_seq(resident.iter().map(|&wg| u64::from(wg)));
         }
-        let mut words: Vec<(Addr, i64)> = self.l2.backing().nonzero_words().collect();
-        words.sort_unstable_by_key(|&(a, _)| a);
-        f.push(words.len() as u64);
-        for (a, v) in words {
+        // The store yields its words in ascending address order.
+        let backing = self.l2.backing();
+        f.push(backing.resident_words() as u64);
+        for (a, v) in backing.nonzero_words() {
             f.push(a);
             f.push_i64(v);
         }
@@ -1453,13 +1462,6 @@ impl Gpu {
     // Instruction interpretation
     // ---------------------------------------------------------------------
 
-    fn operand(&self, wg: usize, op: Operand) -> i64 {
-        match op {
-            Operand::Imm(v) => v,
-            Operand::Reg(r) => self.wgs[wg].regs.get(r),
-        }
-    }
-
     fn resolve(&self, wg: usize, mem: Mem) -> u64 {
         match mem.index {
             None => mem.base,
@@ -1469,67 +1471,86 @@ impl Gpu {
         }
     }
 
-    fn special_value(&self, wg: usize, s: Special) -> i64 {
+    /// Runs `wgu`'s register-only instructions (`Li`, `Mov`, `Alu`,
+    /// `Special`, `Jmp`, `Br`) against the WG alone, from its pc. Every
+    /// fetched instruction counts one of `steps`, one inst and one issue
+    /// slot in `t`, as in [`Gpu::advance`]. Returns the first instruction
+    /// that touches the machine, with the WG's pc left on it, or `None`
+    /// when the batch reaches [`MAX_INLINE_STEPS`] first.
+    #[inline]
+    fn run_registers(&mut self, wgu: usize, steps: &mut usize, t: &mut Cycle) -> Option<Inst> {
         let k = &self.kernel;
-        match s {
-            Special::WgId => wg as i64,
-            Special::NumWgs => k.num_wgs as i64,
-            Special::WgsPerCluster => k.wgs_per_cluster as i64,
-            Special::ClusterId => (wg as u64 / k.wgs_per_cluster) as i64,
-            Special::NumClusters => k.num_wgs.div_ceil(k.wgs_per_cluster) as i64,
-        }
-    }
-
-    /// Interprets instructions of `wg` starting at `self.now`, inline until
-    /// the next timed operation.
-    fn advance(&mut self, wg: WgId) {
-        let wgu = wg as usize;
-        debug_assert_eq!(self.wgs[wgu].state, WgState::Running);
-        let mut t: Cycle = 0;
-        for step in 0.. {
-            if step >= MAX_INLINE_STEPS {
-                let token = self.wgs[wgu].bump_token();
-                self.events
-                    .schedule(self.now + t, Event::Continue(wg, token));
-                return;
+        let program = &*k.program;
+        let w = &mut self.wgs[wgu];
+        let budget = MAX_INLINE_STEPS - *steps;
+        let mut fetched = 0;
+        let mut pc = w.pc;
+        let exit = loop {
+            if fetched == budget {
+                break None;
             }
-            let pc = self.wgs[wgu].pc;
-            let inst = *self.kernel.program.inst(pc);
-            self.wgs[wgu].insts += 1;
-            t += self.config.issue_cycles;
-            match inst {
+            fetched += 1;
+            let inst = program.inst(pc);
+            match *inst {
                 Inst::Li(d, v) => {
-                    self.wgs[wgu].regs.set(d, v);
-                    self.wgs[wgu].pc = pc + 1;
+                    w.regs.set(d, v);
+                    pc += 1;
                 }
                 Inst::Mov(d, s) => {
-                    let v = self.wgs[wgu].regs.get(s);
-                    self.wgs[wgu].regs.set(d, v);
-                    self.wgs[wgu].pc = pc + 1;
+                    w.regs.set(d, w.regs.get(s));
+                    pc += 1;
                 }
                 Inst::Alu(op, d, s, o) => {
-                    let a = self.wgs[wgu].regs.get(s);
-                    let b = self.operand(wgu, o);
-                    self.wgs[wgu].regs.set(d, op.apply(a, b));
-                    self.wgs[wgu].pc = pc + 1;
+                    let v = op.apply(w.regs.get(s), value_of(&w.regs, o));
+                    w.regs.set(d, v);
+                    pc += 1;
                 }
                 Inst::Special(d, s) => {
-                    let v = self.special_value(wgu, s);
-                    self.wgs[wgu].regs.set(d, v);
-                    self.wgs[wgu].pc = pc + 1;
+                    let v = match s {
+                        Special::WgId => wgu as i64,
+                        Special::NumWgs => k.num_wgs as i64,
+                        Special::WgsPerCluster => k.wgs_per_cluster as i64,
+                        Special::ClusterId => (wgu as u64 / k.wgs_per_cluster) as i64,
+                        Special::NumClusters => k.num_wgs.div_ceil(k.wgs_per_cluster) as i64,
+                    };
+                    w.regs.set(d, v);
+                    pc += 1;
                 }
-                Inst::Jmp(l) => {
-                    self.wgs[wgu].pc = self.kernel.program.target(l);
-                }
+                Inst::Jmp(l) => pc = program.target(l),
                 Inst::Br(c, r, o, l) => {
-                    let a = self.wgs[wgu].regs.get(r);
-                    let b = self.operand(wgu, o);
-                    self.wgs[wgu].pc = if c.holds(a, b) {
-                        self.kernel.program.target(l)
+                    pc = if c.holds(w.regs.get(r), value_of(&w.regs, o)) {
+                        program.target(l)
                     } else {
                         pc + 1
                     };
                 }
+                _ => break Some(*inst),
+            }
+        };
+        w.pc = pc;
+        w.insts += fetched as u64;
+        *steps += fetched;
+        *t += self.config.issue_cycles * fetched as Cycle;
+        exit
+    }
+
+    /// Interprets instructions of `wg` starting at `self.now`, inline until
+    /// the next timed operation. Register-only instructions run in
+    /// [`Gpu::run_registers`]; a store issues and the batch goes on.
+    fn advance(&mut self, wg: WgId) {
+        let wgu = wg as usize;
+        debug_assert_eq!(self.wgs[wgu].state, WgState::Running);
+        let mut t: Cycle = 0;
+        let mut steps = 0;
+        loop {
+            let Some(inst) = self.run_registers(wgu, &mut steps, &mut t) else {
+                let token = self.wgs[wgu].bump_token();
+                self.events
+                    .schedule(self.now + t, Event::Continue(wg, token));
+                return;
+            };
+            let pc = self.wgs[wgu].pc;
+            match inst {
                 Inst::Compute(c) => {
                     self.wgs[wgu].pc = pc + 1;
                     let token = self.wgs[wgu].bump_token();
@@ -1548,7 +1569,7 @@ impl Gpu {
                     return;
                 }
                 Inst::Sleep(op) => {
-                    let n = self.operand(wgu, op).max(0) as Cycle;
+                    let n = value_of(&self.wgs[wgu].regs, op).max(0) as Cycle;
                     self.wgs[wgu].pc = pc + 1;
                     let token = self.wgs[wgu].bump_token();
                     self.set_wg_state(wg, WgState::Sleeping, self.now + t);
@@ -1580,7 +1601,7 @@ impl Gpu {
                 }
                 Inst::St(m, o) => {
                     let addr = self.resolve(wgu, m);
-                    let value = self.operand(wgu, o);
+                    let value = value_of(&self.wgs[wgu].regs, o);
                     self.wgs[wgu].pc = pc + 1;
                     let cu = self.wgs[wgu].cu.expect("running WG has a CU");
                     // Write-through: update L1 timing state and send to L2;
@@ -1618,6 +1639,12 @@ impl Gpu {
                     self.finish_wg(wg, self.now + t);
                     return;
                 }
+                Inst::Li(..)
+                | Inst::Mov(..)
+                | Inst::Alu(..)
+                | Inst::Special(..)
+                | Inst::Jmp(_)
+                | Inst::Br(..) => unreachable!("register-only instructions run in run_registers"),
             }
         }
     }
@@ -1635,8 +1662,8 @@ impl Gpu {
     ) {
         let wgu = wg as usize;
         let addr = self.resolve(wgu, mem);
-        let operand = self.operand(wgu, operand);
-        let expected = expected.map(|e| self.operand(wgu, e));
+        let operand = value_of(&self.wgs[wgu].regs, operand);
+        let expected = expected.map(|e| value_of(&self.wgs[wgu].regs, e));
         self.wgs[wgu].pc += 1;
         self.wgs[wgu].atomics += 1;
         if self.wgs[wgu].last_atomic == Some(addr) {
@@ -1718,7 +1745,7 @@ impl Gpu {
     fn issue_wait(&mut self, wg: WgId, t: Cycle, mem: Mem, expected: Operand) {
         let wgu = wg as usize;
         let addr = self.resolve(wgu, mem);
-        let expected = self.operand(wgu, expected);
+        let expected = value_of(&self.wgs[wgu].regs, expected);
         self.wgs[wgu].pc += 1;
         // The arm request travels to the L2 like a light access.
         let (observed, comp) = self.l2.read(self.now + t, addr);

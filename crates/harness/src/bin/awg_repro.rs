@@ -261,8 +261,7 @@ fn run_asm(path: &str, policy: PolicyKind, wgs: u64, scale: &Scale) -> ExitCode 
                 "completed: {} cycles, {} insts, {} atomics, {} resumes, {} swaps out",
                 s.cycles, s.insts, s.atomics, s.resumes, s.switches_out
             );
-            let mut words: Vec<(u64, i64)> = gpu.backing().nonzero_words().collect();
-            words.sort_unstable();
+            let words: Vec<(u64, i64)> = gpu.backing().nonzero_words().collect();
             println!("\nfinal non-zero memory ({} words):", words.len());
             for (addr, value) in words.iter().take(32) {
                 println!("  {addr:#8x}: {value}");

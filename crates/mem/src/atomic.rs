@@ -122,8 +122,30 @@ pub struct AtomicResult {
 /// assert!(r.satisfied);
 /// ```
 pub fn execute(mem: &mut Backing, req: AtomicRequest) -> AtomicResult {
-    let old = mem.load(req.addr);
-    let (new, wrote) = match req.op {
+    // A write of the value already there is architecturally a write, but
+    // leaves the store alone. Monitored-address notifications still fire
+    // at the L2 layer.
+    let old = mem.update(req.addr, |old| match apply(req, old) {
+        (new, true) if new != old => Some(new),
+        _ => None,
+    });
+    let (new, wrote) = apply(req, old);
+    let satisfied = match req.expected {
+        None => true,
+        Some(e) => old == e,
+    };
+    AtomicResult {
+        old,
+        new: if wrote { new } else { old },
+        wrote,
+        satisfied,
+    }
+}
+
+/// `(new value, whether the operation writes)` of `req` over `old`.
+#[inline]
+fn apply(req: AtomicRequest, old: i64) -> (i64, bool) {
+    match req.op {
         AtomicOp::Load => (old, false),
         AtomicOp::Store | AtomicOp::Exch => (req.operand, true),
         AtomicOp::Add => (old.wrapping_add(req.operand), true),
@@ -141,22 +163,6 @@ pub fn execute(mem: &mut Backing, req: AtomicRequest) -> AtomicResult {
                 (old, false)
             }
         }
-    };
-    if wrote && new != old {
-        mem.store(req.addr, new);
-    } else if wrote {
-        // Same value written: architecturally a write, but skip the map
-        // churn. Monitored-address notifications still fire at the L2 layer.
-    }
-    let satisfied = match req.expected {
-        None => true,
-        Some(e) => old == e,
-    };
-    AtomicResult {
-        old,
-        new: if wrote { new } else { old },
-        wrote,
-        satisfied,
     }
 }
 

@@ -91,17 +91,19 @@ impl AccessOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    monitored: bool,
-    pinned: bool,
-    last_use: u64,
-}
+/// Tag-array flag bit: the SyncMon watches this line.
+const MONITORED: u8 = 1;
+/// Tag-array flag bit: the line may not be chosen as a victim.
+const PINNED: u8 = 2;
 
 /// A set-associative cache with LRU replacement and AWG's monitored/pinned
 /// tag bits.
+///
+/// The tag array is three parallel per-way arrays: the stored tag
+/// (`tag + 1`, with 0 marking an invalid way), the LRU stamp, and one byte
+/// of monitored/pinned bits. A hit scans only the tags of one set. Set
+/// and tag are shifts and masks of the address, so the set count must be
+/// a power of two, like the line size.
 ///
 /// # Example
 ///
@@ -115,7 +117,16 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Per way, `tag + 1`; 0 marks an invalid way.
+    tags: Vec<u64>,
+    /// Per way, the tick of the last access (LRU stamp).
+    stamps: Vec<u64>,
+    /// Per way, the [`MONITORED`] and [`PINNED`] bits.
+    flags: Vec<u8>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -134,17 +145,32 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets/ways or a
-    /// non-power-of-two line size).
+    /// Panics if the geometry is degenerate (zero sets/ways), if the set
+    /// count or line size is not a power of two, or for 1-byte lines in a
+    /// single set (a tag could then reach `u64::MAX` and not fit the
+    /// stored `tag + 1`).
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.sets > 0 && config.ways > 0, "degenerate geometry");
         assert!(
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(
+            config.sets.is_power_of_two(),
+            "set count must be a power of two"
+        );
+        assert!(
+            config.line_bytes > 1 || config.sets > 1,
+            "1-byte lines need more than one set"
+        );
+        let n = config.sets * config.ways;
         Cache {
             config,
-            lines: vec![Line::default(); config.sets * config.ways],
+            tags: vec![0; n],
+            stamps: vec![0; n],
+            flags: vec![0; n],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: config.sets.trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -160,17 +186,65 @@ impl Cache {
         &self.config
     }
 
+    /// `(set, stored tag)` of `addr`'s line.
     #[inline]
-    fn index_tag(&self, addr: Addr) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
-        let set = (line as usize) % self.config.sets;
-        let tag = line / self.config.sets as u64;
-        (set, tag)
+    fn locate(&self, addr: Addr) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        (set, (line >> self.set_shift) + 1)
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Line] {
-        let w = self.config.ways;
-        &mut self.lines[set * w..(set + 1) * w]
+    /// The way holding stored tag `key` in `set`, as an index into the
+    /// per-way arrays.
+    #[inline]
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let base = set * self.config.ways;
+        self.tags[base..base + self.config.ways]
+            .iter()
+            .position(|&t| t == key)
+            .map(|w| base + w)
+    }
+
+    /// The way holding `addr`'s line.
+    #[inline]
+    fn way_of(&self, addr: Addr) -> Option<usize> {
+        let (set, key) = self.locate(addr);
+        self.find(set, key)
+    }
+
+    /// The miss path of a ticked access: fills `key` into `set` in the
+    /// first invalid way, else the least recently used unpinned way.
+    /// Returns the outcome and the filled way.
+    fn fill(&mut self, set: usize, key: u64) -> (AccessOutcome, Option<usize>) {
+        let base = set * self.config.ways;
+        let ways = base..base + self.config.ways;
+        let victim = match self.tags[ways.clone()].iter().position(|&t| t == 0) {
+            Some(w) => Some(base + w),
+            None => {
+                let mut best: Option<(usize, u64)> = None;
+                for w in ways {
+                    if self.flags[w] & PINNED != 0 {
+                        continue;
+                    }
+                    if best.is_none_or(|(_, s)| self.stamps[w] < s) {
+                        best = Some((w, self.stamps[w]));
+                    }
+                }
+                best.map(|(w, _)| w)
+            }
+        };
+        let Some(v) = victim else {
+            self.bypasses += 1;
+            return (AccessOutcome::NoAllocate, None);
+        };
+        let old = self.tags[v];
+        let evicted =
+            (old != 0).then(|| (((old - 1) << self.set_shift) | set as u64) << self.line_shift);
+        self.tags[v] = key;
+        self.stamps[v] = self.tick;
+        self.flags[v] = 0;
+        self.misses += 1;
+        (AccessOutcome::Miss { evicted }, Some(v))
     }
 
     /// Accesses `addr`, allocating on miss (for both reads and writes: the
@@ -187,106 +261,69 @@ impl Cache {
     #[inline]
     pub(crate) fn access_monitored(&mut self, addr: Addr) -> (AccessOutcome, bool) {
         self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index_tag(addr);
-        let line_bytes = self.config.line_bytes;
-        let sets = self.config.sets as u64;
-        let ways = self.config.ways;
-        let slice = self.set_slice(set);
-
-        for way in slice.iter_mut() {
-            if way.valid && way.tag == tag {
-                way.last_use = tick;
-                let monitored = way.monitored;
-                self.hits += 1;
-                return (AccessOutcome::Hit, monitored);
-            }
+        let (set, key) = self.locate(addr);
+        if let Some(w) = self.find(set, key) {
+            self.stamps[w] = self.tick;
+            self.hits += 1;
+            return (AccessOutcome::Hit, self.flags[w] & MONITORED != 0);
         }
-
-        // Miss: pick invalid way, else LRU among unpinned.
-        let mut victim: Option<usize> = None;
-        for (i, way) in slice.iter().enumerate() {
-            if !way.valid {
-                victim = Some(i);
-                break;
-            }
-        }
-        if victim.is_none() {
-            let mut best: Option<(usize, u64)> = None;
-            for (i, way) in slice.iter().enumerate() {
-                if way.pinned {
-                    continue;
-                }
-                if best.is_none_or(|(_, lu)| way.last_use < lu) {
-                    best = Some((i, way.last_use));
-                }
-            }
-            victim = best.map(|(i, _)| i);
-        }
-        let Some(v) = victim else {
-            debug_assert!(ways > 0);
-            self.bypasses += 1;
-            return (AccessOutcome::NoAllocate, false);
-        };
-        let evicted = if slice[v].valid {
-            let old_tag = slice[v].tag;
-            Some((old_tag * sets + set as u64) * line_bytes)
-        } else {
-            None
-        };
-        slice[v] = Line {
-            tag,
-            valid: true,
-            monitored: false,
-            pinned: false,
-            last_use: tick,
-        };
-        self.misses += 1;
-        (AccessOutcome::Miss { evicted }, false)
+        (self.fill(set, key).0, false)
     }
 
     /// Whether the line containing `addr` is resident.
     pub fn contains(&self, addr: Addr) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        let w = self.config.ways;
-        self.lines[set * w..(set + 1) * w]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.way_of(addr).is_some()
     }
 
-    fn line_mut(&mut self, addr: Addr) -> Option<&mut Line> {
-        let (set, tag) = self.index_tag(addr);
-        self.set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
+    /// Sets way `w`'s monitored and pinned bits, counting a flip.
+    fn monitor_way(&mut self, w: usize) {
+        let flipped = self.flags[w] & MONITORED == 0;
+        self.flags[w] = MONITORED | PINNED;
+        if flipped {
+            self.monitored += 1;
+            self.monitored_peak = self.monitored_peak.max(self.monitored);
+            self.monitored_version += 1;
+        }
     }
 
     /// Sets the monitored bit (and pins the line) for the line containing
     /// `addr`. Returns `false` when the line is not resident — the caller
     /// must fill it first.
     pub fn set_monitored(&mut self, addr: Addr) -> bool {
-        let Some(l) = self.line_mut(addr) else {
+        let Some(w) = self.way_of(addr) else {
             return false;
         };
-        let flipped = !l.monitored;
-        l.monitored = true;
-        l.pinned = true;
-        if flipped {
-            self.monitored += 1;
-            self.monitored_peak = self.monitored_peak.max(self.monitored);
-            self.monitored_version += 1;
-        }
+        self.monitor_way(w);
+        true
+    }
+
+    /// [`Cache::set_monitored`], filling the line first when it is not
+    /// resident, in one tag scan. The fill is a ticked [`Cache::access`];
+    /// a resident line is neither ticked nor counted. Returns `false` when
+    /// every way of the set is pinned.
+    pub(crate) fn fill_monitored(&mut self, addr: Addr) -> bool {
+        let (set, key) = self.locate(addr);
+        let way = match self.find(set, key) {
+            Some(w) => Some(w),
+            None => {
+                self.tick += 1;
+                self.fill(set, key).1
+            }
+        };
+        let Some(w) = way else {
+            return false;
+        };
+        self.monitor_way(w);
         true
     }
 
     /// Clears the monitored bit and unpins the line. Idempotent.
     pub fn clear_monitored(&mut self, addr: Addr) {
-        let Some(l) = self.line_mut(addr) else {
+        let Some(w) = self.way_of(addr) else {
             return;
         };
-        let flipped = l.monitored;
-        l.monitored = false;
-        l.pinned = false;
+        let flipped = self.flags[w] & MONITORED != 0;
+        self.flags[w] = 0;
         if flipped {
             self.monitored -= 1;
             self.monitored_version += 1;
@@ -296,11 +333,8 @@ impl Cache {
     /// Whether the line containing `addr` is resident with its monitored bit
     /// set.
     pub fn is_monitored(&self, addr: Addr) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        let w = self.config.ways;
-        self.lines[set * w..(set + 1) * w]
-            .iter()
-            .any(|l| l.valid && l.tag == tag && l.monitored)
+        self.way_of(addr)
+            .is_some_and(|w| self.flags[w] & MONITORED != 0)
     }
 
     /// Number of monitored (pinned) lines currently resident, in O(1).
@@ -331,9 +365,9 @@ impl Cache {
 
     /// Invalidates every line (keeps statistics and the monitored peak).
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
+        self.tags.fill(0);
+        self.stamps.fill(0);
+        self.flags.fill(0);
         self.monitored = 0;
         self.monitored_version += 1;
     }
@@ -341,44 +375,75 @@ impl Cache {
     /// Serializes the mutable tag-array state (lines, LRU tick, counters).
     /// Geometry is identity, not state: [`Cache::load`] overlays onto a cache
     /// built from the same [`CacheConfig`].
+    ///
+    /// Each way is written as `(tag, valid, monitored, pinned, last_use)`,
+    /// an invalid way with tag 0.
     pub fn save(&self, enc: &mut Enc) {
         enc.u64(self.tick);
         enc.u64(self.hits);
         enc.u64(self.misses);
         enc.u64(self.bypasses);
-        enc.usize(self.lines.len());
-        for l in &self.lines {
-            enc.u64(l.tag);
-            enc.bool(l.valid);
-            enc.bool(l.monitored);
-            enc.bool(l.pinned);
-            enc.u64(l.last_use);
+        enc.usize(self.tags.len());
+        for w in 0..self.tags.len() {
+            enc.u64(self.tags[w].saturating_sub(1));
+            enc.bool(self.tags[w] != 0);
+            enc.bool(self.flags[w] & MONITORED != 0);
+            enc.bool(self.flags[w] & PINNED != 0);
+            enc.u64(self.stamps[w]);
         }
     }
 
     /// Overlays state written by [`Cache::save`] onto this cache. Fails if
-    /// the saved geometry (line count) does not match this cache's.
+    /// the saved geometry (line count) does not match this cache's, or on a
+    /// way [`Cache::save`] never writes: an invalid way with a non-zero
+    /// tag, a tag no address of this geometry has, or a tag resident twice
+    /// in one set.
     pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         self.tick = dec.u64()?;
         self.hits = dec.u64()?;
         self.misses = dec.u64()?;
         self.bypasses = dec.u64()?;
         let n = dec.count(11)?;
-        if n != self.lines.len() {
+        if n != self.tags.len() {
             return Err(CodecError::Invalid(format!(
                 "cache geometry mismatch: snapshot has {n} lines, config has {}",
-                self.lines.len()
+                self.tags.len()
             )));
         }
-        for l in &mut self.lines {
-            l.tag = dec.u64()?;
-            l.valid = dec.bool()?;
-            l.monitored = dec.bool()?;
-            l.pinned = dec.bool()?;
-            l.last_use = dec.u64()?;
+        let max_tag = u64::MAX >> (self.line_shift + self.set_shift);
+        for w in 0..n {
+            let tag = dec.u64()?;
+            let valid = dec.bool()?;
+            let monitored = dec.bool()?;
+            let pinned = dec.bool()?;
+            self.stamps[w] = dec.u64()?;
+            if !valid && tag != 0 {
+                return Err(CodecError::Invalid(format!(
+                    "invalid cache way {w} carries tag {tag:#x}"
+                )));
+            }
+            if tag > max_tag {
+                return Err(CodecError::Invalid(format!(
+                    "cache way {w} tag {tag:#x} exceeds the geometry's {max_tag:#x}"
+                )));
+            }
+            self.tags[w] = if valid { tag + 1 } else { 0 };
+            self.flags[w] = if monitored { MONITORED } else { 0 } | if pinned { PINNED } else { 0 };
+        }
+        for set in self.tags.chunks(self.config.ways) {
+            for (i, &t) in set.iter().enumerate() {
+                if t != 0 && set[..i].contains(&t) {
+                    return Err(CodecError::Invalid(format!(
+                        "cache tag {:#x} resident twice in one set",
+                        t - 1
+                    )));
+                }
+            }
         }
         // The count is derived from the lines; the peak restarts from it.
-        self.monitored = self.lines.iter().filter(|l| l.valid && l.monitored).count();
+        self.monitored = (0..n)
+            .filter(|&w| self.tags[w] != 0 && self.flags[w] & MONITORED != 0)
+            .count();
         self.monitored_peak = self.monitored;
         self.monitored_version += 1;
         Ok(())
@@ -500,5 +565,96 @@ mod tests {
             line_bytes: 64,
             latency: 1,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_sets_rejected() {
+        Cache::new(CacheConfig {
+            sets: 3,
+            ways: 2,
+            line_bytes: 64,
+            latency: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_rejected() {
+        Cache::new(CacheConfig {
+            sets: 2,
+            ways: 2,
+            line_bytes: 48,
+            latency: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "1-byte lines need more than one set")]
+    fn one_byte_lines_in_one_set_rejected() {
+        Cache::new(CacheConfig {
+            sets: 1,
+            ways: 2,
+            line_bytes: 1,
+            latency: 1,
+        });
+    }
+
+    #[test]
+    fn top_of_the_address_space_is_cacheable() {
+        // The largest tag of the narrowest legal geometries still fits the
+        // stored `tag + 1`, and evicting it recovers its line address.
+        for (sets, line_bytes) in [(1, 2), (2, 1)] {
+            let mut c = Cache::new(CacheConfig {
+                sets,
+                ways: 1,
+                line_bytes,
+                latency: 1,
+            });
+            let top = !(line_bytes - 1);
+            assert!(!c.access(top).is_hit());
+            assert!(c.access(u64::MAX).is_hit());
+            let below = top - (sets as u64 * line_bytes);
+            assert_eq!(c.access(below), AccessOutcome::Miss { evicted: Some(top) });
+        }
+    }
+
+    fn saved(c: &Cache) -> Vec<u8> {
+        let mut enc = Enc::new();
+        c.save(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Offset of way `w`'s record (tag, three flags, stamp: 19 bytes) in
+    /// a [`Cache::save`] image, after four counters and the way count.
+    fn way_at(w: usize) -> usize {
+        4 * 8 + 8 + w * 19
+    }
+
+    #[test]
+    fn load_rejects_ways_save_never_writes() {
+        let mut c = tiny();
+        c.access(0);
+        c.access(128);
+        let good = saved(&c);
+        assert!(tiny().load(&mut Dec::new(&good)).is_ok());
+
+        // An invalid way (way 2 is empty) that carries a tag.
+        let mut bad = good.clone();
+        bad[way_at(2)] = 1;
+        let err = tiny().load(&mut Dec::new(&bad)).unwrap_err();
+        assert!(err.to_string().contains("carries tag"), "{err}");
+
+        // A tag beyond what any address of the geometry maps to.
+        let mut bad = good.clone();
+        bad[way_at(0)..way_at(0) + 8].copy_from_slice(&(u64::MAX >> 6).to_le_bytes());
+        let err = tiny().load(&mut Dec::new(&bad)).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+
+        // Both ways of set 0 holding the same tag.
+        let mut bad = good.clone();
+        bad[way_at(1)..way_at(1) + 8].copy_from_slice(&good[way_at(0)..way_at(0) + 8]);
+        let err = tiny().load(&mut Dec::new(&bad)).unwrap_err();
+        assert!(err.to_string().contains("twice"), "{err}");
     }
 }

@@ -90,6 +90,9 @@ pub struct AtomicCompletion {
 pub struct L2 {
     config: L2Config,
     cache: Cache,
+    /// `log2(line_bytes)`: a line address's bank is its line number
+    /// masked by `banks - 1`.
+    line_shift: u32,
     bank_free: Vec<Cycle>,
     dram: Dram,
     backing: Backing,
@@ -108,11 +111,16 @@ impl L2 {
     ///
     /// # Panics
     ///
-    /// Panics if `banks == 0`.
+    /// Panics if `banks` is zero or not a power of two, or if the cache
+    /// geometry is one [`Cache::new`] rejects.
     pub fn with_dram(config: L2Config, dram: DramConfig) -> Self {
-        assert!(config.banks > 0, "need at least one bank");
+        assert!(
+            config.banks.is_power_of_two(),
+            "bank count must be a power of two"
+        );
         L2 {
             cache: Cache::new(config.cache),
+            line_shift: config.cache.line_bytes.trailing_zeros(),
             bank_free: vec![0; config.banks],
             dram: Dram::new(dram),
             backing: Backing::new(),
@@ -130,7 +138,7 @@ impl L2 {
 
     #[inline]
     fn bank_of(&self, addr: Addr) -> usize {
-        ((line_of(addr) / self.config.cache.line_bytes) as usize) % self.config.banks
+        (line_of(addr) >> self.line_shift) as usize & (self.config.banks - 1)
     }
 
     /// Common bank + tag timing. Returns `(commit_cycle, hit, monitored)`,
@@ -212,10 +220,7 @@ impl L2 {
     /// every way in its set is already pinned — the caller must spill the
     /// condition to the Monitor Log instead (§V.A).
     pub fn set_monitored(&mut self, addr: Addr) -> bool {
-        if !self.cache.contains(addr) && self.cache.access(addr) == AccessOutcome::NoAllocate {
-            return false;
-        }
-        self.cache.set_monitored(addr)
+        self.cache.fill_monitored(addr)
     }
 
     /// Clears the monitored bit of `addr`'s line. Idempotent.
@@ -589,6 +594,22 @@ mod tests {
         c.clear_monitored(0);
         assert_eq!(c.monitored_version(), after);
         assert_eq!(c.monitored_lines(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two")]
+    fn non_power_of_two_banks_rejected() {
+        let mut cfg = L2Config::isca2020();
+        cfg.banks = 6;
+        L2::with_dram(cfg, DramConfig::isca2020());
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two")]
+    fn zero_banks_rejected() {
+        let mut cfg = L2Config::isca2020();
+        cfg.banks = 0;
+        L2::with_dram(cfg, DramConfig::isca2020());
     }
 
     #[test]
