@@ -911,18 +911,21 @@ impl Gpu {
         f.finish()
     }
 
-    fn record_violation(&mut self, kind: InvariantKind, detail: String) {
+    /// Whether recording `(kind, detail)` would leave the violation log as
+    /// it is: the log is full, or already holds that report. One report per
+    /// (kind, detail): a standing violation re-detected at every subsequent
+    /// event would otherwise drown the first cause.
+    pub(crate) fn violation_held(&self, kind: InvariantKind, detail: &str) -> bool {
         const MAX_RECORDED: usize = 64;
-        if self.violations.len() >= MAX_RECORDED {
-            return;
-        }
-        // One report per (kind, detail): a standing violation re-detected at
-        // every subsequent event would otherwise drown the first cause.
-        if self
-            .violations
-            .iter()
-            .any(|v| v.kind == kind && v.detail == detail)
-        {
+        self.violations.len() >= MAX_RECORDED
+            || self
+                .violations
+                .iter()
+                .any(|v| v.kind == kind && v.detail == detail)
+    }
+
+    fn record_violation(&mut self, kind: InvariantKind, detail: String) {
+        if self.violation_held(kind, &detail) {
             return;
         }
         self.violations.push(InvariantViolation {
@@ -1607,8 +1610,7 @@ impl Gpu {
                     // Write-through: update L1 timing state and send to L2;
                     // the wavefront does not wait for the write to land.
                     self.cus[cu].l1_mut().access(addr);
-                    let old = self.l2.peek(addr);
-                    let (_, monitored) = self.l2.write(self.now + t, addr, value);
+                    let (_, monitored, old) = self.l2.write(self.now + t, addr, value);
                     if old != value {
                         self.last_progress = self.now + t;
                     }

@@ -29,10 +29,11 @@
 //! nor a landed wake. With the oracle on, the machine runs it after the
 //! first event (of a new or restored machine), after the first event at or
 //! past every [`SWEEP_WINDOW`]-cycle boundary, and whenever [`Gpu::run`]
-//! returns. After every other event it runs the per-event check instead,
-//! over the event's **touch set**: the event's own WG, every WG whose state
-//! the event set, every WG the policy woke, and, on events that called the
-//! policy, every WG whose registration vanished since the last read.
+//! returns. After every other event that is not quiet (below) it runs the
+//! per-event check instead, over the event's **touch set**: the event's own
+//! WG, every WG whose state the event set, every WG the policy woke, and,
+//! on events that called the policy, every WG whose registration vanished
+//! since the last read.
 //!
 //! * For each touched WG it runs the sweep's queue, residency,
 //!   stale-registration and reachability checks. The two queues are read
@@ -66,14 +67,31 @@
 //! (`set_wg_state`), and every other write the checks read (queue
 //! membership, CU residency, placement, the landed-wake flag, the wake
 //! token) lands on the event's own WG or on a WG whose state the event
-//! also set. DESIGN.md lists those mutation sites. A write that bypasses
-//! them, such as a test tampering with WG state, is reported by the next
-//! window sweep or the run-end sweep.
+//! also set. DESIGN.md lists those mutation sites.
+//!
+//! An event is **quiet** when its touch set was still empty before its own
+//! WG joined it (no `set_wg_state` ran and `apply_wakes` added no target),
+//! it called no policy, and its own WG, if it has one, is neither `Stalled`
+//! nor `SwappedWaiting`. The oracle skips the per-event check after a quiet
+//! event; the popped event is still uncounted and the sweeps run as
+//! before. The skip is exact too. A quiet event writes only its own WG's
+//! pc, registers, token, condition, parked response and landed-wake flag,
+//! and only while that WG is not waiting. No check reads any of these for
+//! a WG that is not waiting and whose state, queue and CU did not change,
+//! so the skipped check could only repeat what the last one found, and the
+//! violation log already holds that.
+//!
+//! A write that bypasses the mutation sites, such as a test tampering with
+//! WG state, is reported by the next window sweep or the run-end sweep.
+//! That holds for a write to a quiet event's own WG as well: the per-event
+//! check no longer runs at that WG's next event if the event is quiet.
 //!
 //! The window and run-end sweeps keep the full registry read and the
-//! calendar walk, and so stay the references for both shortcuts. In builds
+//! calendar walk, and so stay the references for the shortcuts. In builds
 //! with debug assertions every skipped read and every count-based
-//! reachability answer is also derived the full way and asserted equal.
+//! reachability answer is also derived the full way and asserted equal,
+//! and the check each quiet event skips still runs and must find nothing
+//! the violation log does not already hold.
 //!
 //! Leave the oracle off for throughput experiments and on for the chaos
 //! matrix, the conformance lab and CI, where catching a corrupted schedule
@@ -466,7 +484,7 @@ impl Gpu {
         // can only report on a touched WG whose state or placement no
         // longer matches the one list holding it; otherwise they run in
         // full, in the sweep's order.
-        let quiet = self.cus_unchanged(shadow)
+        let cus_quiet = self.cus_unchanged(shadow)
             && shadow.touched.iter().all(|&wg| {
                 let w = &self.wgs[wg as usize];
                 match shadow.res_count[wg as usize] {
@@ -478,7 +496,7 @@ impl Gpu {
                     _ => false,
                 }
             });
-        if !quiet {
+        if !cus_quiet {
             self.check_cus(
                 scratch,
                 gen,
@@ -724,11 +742,22 @@ impl Gpu {
 
     /// The oracle's work after the run loop popped and handled `event`:
     /// the full sweep at the first event and at each window boundary, the
-    /// per-event check otherwise.
+    /// per-event check after any other event that is not quiet.
     pub(crate) fn check_event(&self, event: Event) -> Vec<InvariantViolation> {
         let mut state = self.oracle.borrow_mut();
         let OracleState { scratch, shadow } = &mut *state;
         shadow.note_popped(&event);
+        // Quiet: the event set no WG's state, applied no wake, called no
+        // policy, and left its own WG out of the waiting states (module
+        // docs).
+        let quiet = shadow.touched.is_empty()
+            && !shadow.policy_called
+            && event.wg().is_none_or(|wg| {
+                !matches!(
+                    self.wgs[wg as usize].state,
+                    WgState::Stalled | WgState::SwappedWaiting
+                )
+            });
         if let Some(wg) = event.wg() {
             shadow.touch(wg);
         }
@@ -736,11 +765,33 @@ impl Gpu {
             let found = self.check_invariants_with(scratch);
             self.resync(shadow);
             found
+        } else if quiet {
+            #[cfg(debug_assertions)]
+            self.assert_quiet_event_finds_nothing_new(scratch, shadow);
+            Vec::new()
         } else {
             self.check_touched(scratch, shadow)
         };
         shadow.end_event();
         found
+    }
+
+    /// Runs the per-event check a quiet event skipped and panics if it
+    /// finds anything the violation log would not already keep: a write
+    /// bypassed the mutation sites the skip relies on (module docs).
+    #[cfg(debug_assertions)]
+    fn assert_quiet_event_finds_nothing_new(
+        &self,
+        scratch: &mut OracleScratch,
+        shadow: &mut OracleShadow,
+    ) {
+        for v in self.check_touched(scratch, shadow) {
+            assert!(
+                self.violation_held(v.kind, &v.detail),
+                "the per-event check a quiet event skipped finds {v}, which the violation log \
+                 does not hold"
+            );
+        }
     }
 
     /// The full sweep as [`Gpu::run`] returns. A run stopped by the cycle
@@ -1181,6 +1232,13 @@ mod tests {
     /// WG 0 halts at once; the other three compute in 500-cycle steps for
     /// about 20k cycles, so a run crosses several sweep windows.
     fn staggered_gpu() -> Gpu {
+        staggered_gpu_stepping(|b| {
+            b.compute(500);
+        })
+    }
+
+    /// `staggered_gpu` with `step_with` emitting each 500-cycle step.
+    fn staggered_gpu_stepping(step_with: impl Fn(&mut ProgramBuilder)) -> Gpu {
         let mut b = ProgramBuilder::new("staggered");
         let step = b.new_label();
         let done = b.new_label();
@@ -1188,7 +1246,7 @@ mod tests {
         b.br(Cond::Eq, Reg::R1, Operand::Imm(0), done);
         b.li(Reg::R2, 0);
         b.bind(step);
-        b.compute(500);
+        step_with(&mut b);
         b.add(Reg::R2, Reg::R2, 1i64);
         b.br(Cond::Lt, Reg::R2, Operand::Imm(40), step);
         b.bind(done);
@@ -1265,6 +1323,73 @@ mod tests {
         );
     }
 
+    /// Clears WG 1's CU placement directly, past the mutation sites. In
+    /// `staggered_gpu` WG 1 is running, and its next event, a `Continue`
+    /// that computes on, is quiet: it sets no state, wakes nobody and calls
+    /// no policy.
+    fn unplace_wg_1(gpu: &mut Gpu, state: WgState) {
+        assert_eq!(gpu.wgs[1].state, state);
+        assert!(gpu.wgs[1].cu.take().is_some());
+    }
+
+    /// The first violation `gpu` recorded: WG 1's placement disagreeing
+    /// with the CU list that holds it.
+    fn unplaced_wg_1_reported_at(gpu: &Gpu) -> Cycle {
+        let v = gpu.violations();
+        let first = v.first().unwrap_or_else(|| panic!("nothing reported"));
+        assert_eq!(first.kind, InvariantKind::CuResidency, "{first}");
+        assert!(
+            first.detail.starts_with("WG 1 resident on CU ")
+                && first.detail.ends_with(" but its placement says None"),
+            "{first}"
+        );
+        first.at
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the per-event check a quiet event skipped finds")]
+    fn debug_builds_rerun_the_check_a_quiet_event_skips() {
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, 7_000);
+        unplace_wg_1(&mut gpu, WgState::Running);
+        gpu.run();
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn direct_write_to_a_quiet_events_wg_waits_for_the_next_window_sweep() {
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, 7_000);
+        unplace_wg_1(&mut gpu, WgState::Running);
+        let resumed_at = gpu.events.peek_cycle().unwrap();
+        completion_cycle(gpu.run());
+        // WG 1's events until the boundary at 10k were quiet, so no check
+        // read its placement; the first event past the boundary sweeps in
+        // full and reports it.
+        let boundary = 2 * SWEEP_WINDOW;
+        assert!(resumed_at < boundary);
+        let at = unplaced_wg_1_reported_at(&gpu);
+        assert!(
+            (boundary..boundary + 1_000).contains(&at),
+            "reported at {at}"
+        );
+    }
+
+    #[test]
+    fn direct_write_to_a_wg_whose_next_event_sets_its_state_is_reported_there() {
+        // Each step sleeps, so every event of WG 1 sets its state twice
+        // (Sleeping to Running, and back at the next sleep): none is quiet.
+        let mut gpu = staggered_gpu_stepping(|b| {
+            b.sleep(500i64);
+        });
+        pause_before(&mut gpu, 7_000);
+        unplace_wg_1(&mut gpu, WgState::Sleeping);
+        completion_cycle(gpu.run());
+        let at = unplaced_wg_1_reported_at(&gpu);
+        assert!((7_000..7_600).contains(&at), "reported at {at}");
+    }
+
     #[test]
     fn direct_state_write_after_the_last_window_waits_for_the_run_end_sweep() {
         let mut reference = staggered_gpu();
@@ -1334,9 +1459,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_cut_at_the_cycle_cap_still_counts_its_unhandled_timeout() {
-        // One WG waits on a flag nobody sets, rescued only by timeouts.
+    /// One WG waits on a flag nobody sets, rescued only by timeouts.
+    fn timeout_only_gpu() -> Gpu {
         let mut b = ProgramBuilder::new("forever");
         let retry = b.new_label();
         b.bind(retry);
@@ -1349,6 +1473,12 @@ mod tests {
             Box::new(TimeoutOnly),
         );
         gpu.enable_invariant_oracle();
+        gpu
+    }
+
+    #[test]
+    fn run_cut_at_the_cycle_cap_still_counts_its_unhandled_timeout() {
+        let mut gpu = timeout_only_gpu();
         gpu.config.max_cycles = 5_500;
         assert!(matches!(gpu.run(), RunOutcome::CycleLimit { .. }));
         // The cap popped the stalled waiter's timeout without handling it,
@@ -1358,6 +1488,33 @@ mod tests {
         assert_eq!(kinds, [InvariantKind::UnreachableWaiter]);
         // ...but the run-end sweep counted it, as the last event's check did.
         assert!(gpu.violations().is_empty(), "{:?}", gpu.violations());
+    }
+
+    #[test]
+    fn direct_write_to_a_waiting_wgs_token_is_reported_at_its_next_event() {
+        // Bumping the stalled waiter's token directly makes its pending
+        // timeout stale, so it has no wake path left. Popping that timeout
+        // changes nothing else, but the event's own WG is waiting, so the
+        // event is not quiet: its check reports the waiter there, long
+        // before the next sweep.
+        let mut gpu = timeout_only_gpu();
+        pause_before(&mut gpu, 3_000);
+        assert_eq!(gpu.wgs[0].state, WgState::Stalled);
+        let token = gpu.wgs[0].token;
+        let stale_at = gpu
+            .events
+            .iter()
+            .find_map(|(at, ev)| {
+                matches!(*ev, Event::WaitTimeout(0, t) if t == token).then_some(at)
+            })
+            .expect("a pending timeout");
+        gpu.wgs[0].token += 1;
+        assert!(!gpu.run().is_completed());
+        let v = gpu.violations();
+        let first = v.first().unwrap_or_else(|| panic!("nothing reported"));
+        assert_eq!(first.kind, InvariantKind::UnreachableWaiter, "{first}");
+        assert!(first.detail.starts_with("WG 0 "), "{first}");
+        assert_eq!(first.at, stale_at);
     }
 
     /// Registers each failed waiter once, with a version, and never drops

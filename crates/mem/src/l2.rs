@@ -193,18 +193,19 @@ impl L2 {
     }
 
     /// Writes `value` to the word at `addr` (write-through traffic from the
-    /// L1s lands here). Returns the completion and whether the line was
-    /// monitored at commit time.
-    pub fn write(&mut self, now: Cycle, addr: Addr, value: i64) -> (Completion, bool) {
+    /// L1s lands here). Returns the completion, whether the line was
+    /// monitored at commit time, and the word the write replaced.
+    pub fn write(&mut self, now: Cycle, addr: Addr, value: i64) -> (Completion, bool, i64) {
         self.writes += 1;
         let (commit, hit, monitored) = self.bank_access(now, addr, self.config.access_occupancy);
-        self.backing.store(addr, value);
+        let old = self.backing.update(addr, |_| Some(value));
         (
             Completion {
                 done: commit + self.config.cache.latency,
                 hit,
             },
             monitored,
+            old,
         )
     }
 
@@ -408,9 +409,23 @@ mod tests {
     fn write_reports_monitored() {
         let mut l2 = L2::new(L2Config::isca2020());
         l2.set_monitored(64);
-        let (_, monitored) = l2.write(0, 64, 42);
+        let (_, monitored, _) = l2.write(0, 64, 42);
         assert!(monitored);
         assert_eq!(l2.peek(64), 42);
+    }
+
+    #[test]
+    fn write_returns_the_word_it_replaced() {
+        let mut l2 = L2::new(L2Config::isca2020());
+        // No page holds 64 yet: the old word reads zero.
+        assert_eq!(l2.write(0, 64, 7).2, 0);
+        assert_eq!(l2.write(100, 64, -3).2, 7);
+        // An unaligned address inside the same word, and a same-value
+        // overwrite, each report what was there.
+        assert_eq!(l2.write(200, 68, 5).2, -3);
+        assert_eq!(l2.write(300, 64, 5).2, 5);
+        assert_eq!(l2.write(400, 64, 0).2, 5);
+        assert_eq!(l2.peek(64), 0);
     }
 
     #[test]
