@@ -313,8 +313,12 @@ impl SchedPolicy for AwgPolicy {
         self.core.for_each_waiter(visit);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        Some(self.core.registry_version())
+    fn journals_registry(&self) -> bool {
+        true
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.core.for_each_record_of(wg, visit);
     }
 
     fn save_state(&self, enc: &mut Enc) {
@@ -434,6 +438,7 @@ mod tests {
                 ready_wgs: 0,
                 swapped_waiting_wgs: 0,
                 total_wgs: 8,
+                journal: None,
             };
             $body
         }};

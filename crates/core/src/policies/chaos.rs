@@ -203,9 +203,13 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         self.inner.for_each_waiter(visit);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        // The wrapper perturbs wakes, never registrations.
-        self.inner.registry_version()
+    // The wrapper perturbs wakes, never registrations.
+    fn journals_registry(&self) -> bool {
+        self.inner.journals_registry()
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.inner.for_each_record_of(wg, visit);
     }
 
     fn report(&self, stats: &mut Stats) {
@@ -267,6 +271,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         };
         for wg in 0..4 {
             p.on_sync_fail(&mut ctx, &fail(wg));
@@ -344,6 +349,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         };
         match p.on_sync_fail(&mut ctx, &fail(0)) {
             WaitDirective::Wait { timeout, .. } => assert!(timeout.is_some()),
@@ -364,6 +370,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         };
         for wg in 0..2 {
             p.on_sync_fail(&mut ctx, &fail(wg));

@@ -12,7 +12,9 @@
 //! them as an index instead, which each registration, reported write and
 //! emptied queue updates in place. A store it was never told about shows
 //! as a jump in the backing store's write version, and the index is then
-//! rebuilt by the full walk (DESIGN §4).
+//! rebuilt by the full walk (DESIGN §4). A second index lists the
+//! conditions each WG waits on, so removing a WG and the invariant
+//! oracle's per-WG lookup read only that WG's queues.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
@@ -22,7 +24,7 @@ use awg_gpu::{
     WaitDirective, WaiterRecord, WaiterStructure, Wake, WgId,
 };
 use awg_mem::{Addr, L2};
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{CodecError, Cycle, Dec, Enc, FastMap, Stats};
 
 /// Interval between the oracle's staggered release steps.
 const STAGGER_TICK: Cycle = 500;
@@ -45,8 +47,10 @@ pub struct MinResumePolicy {
     /// The write version at which `held` was last exact; `None` until the
     /// first release and after `load_state`.
     synced: Option<u64>,
-    /// Moves at every change to `waiters`: the registry version.
-    version: u64,
+    /// Per WG, the keys of the queues that hold it, sorted, one per queue
+    /// entry: `waiters` indexed by WG. A WG that stops waiting keeps its
+    /// emptied list, so the next wait episode allocates nothing.
+    by_wg: FastMap<WgId, Vec<(Addr, i64)>>,
     wakes: u64,
 }
 
@@ -56,22 +60,25 @@ impl MinResumePolicy {
         Self::default()
     }
 
-    fn remove_wg(&mut self, wg: WgId) {
-        let mut removed = false;
-        let held = &mut self.held;
-        self.waiters.retain(|key, q| {
-            let before = q.len();
+    /// Removes every entry of `wg` from the queues that hold it.
+    fn remove_wg(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) {
+        let Some(keys) = self.by_wg.get_mut(&wg).filter(|keys| !keys.is_empty()) else {
+            return;
+        };
+        keys.dedup();
+        for &key in keys.iter() {
+            let q = self.waiters.get_mut(&key).expect("an indexed WG is queued");
             q.retain(|&w| w != wg);
-            removed |= q.len() != before;
             if q.is_empty() {
+                self.waiters.remove(&key);
                 // An emptied condition no longer holds.
-                if let Ok(i) = held.binary_search(key) {
-                    held.remove(i);
+                if let Ok(i) = self.held.binary_search(&key) {
+                    self.held.remove(i);
                 }
             }
-            !q.is_empty()
-        });
-        self.version += u64::from(removed);
+        }
+        keys.clear();
+        ctx.journal_change(wg);
     }
 
     /// Re-derives `addr`'s entry in `held` from the word's value now.
@@ -154,9 +161,10 @@ impl MinResumePolicy {
                 .expect("a held condition has waiters");
             for _ in 0..per_cond {
                 let Some(wg) = q.pop_front() else { break };
+                unindex(&mut self.by_wg, wg, key);
+                ctx.journal_change(wg);
                 wakes.push(Wake::now(wg));
                 self.wakes += 1;
-                self.version += 1;
             }
             if q.is_empty() {
                 self.waiters.remove(&key);
@@ -178,6 +186,30 @@ impl MinResumePolicy {
     }
 }
 
+/// Adds one entry of `wg` in the queue `key` to the per-WG index.
+fn index(by_wg: &mut FastMap<WgId, Vec<(Addr, i64)>>, wg: WgId, key: (Addr, i64)) {
+    let keys = by_wg.entry(wg).or_default();
+    let at = keys.partition_point(|&k| k <= key);
+    keys.insert(at, key);
+}
+
+/// Removes one entry of `wg` in the queue `key` from the per-WG index.
+fn unindex(by_wg: &mut FastMap<WgId, Vec<(Addr, i64)>>, wg: WgId, key: (Addr, i64)) {
+    let keys = by_wg.get_mut(&wg).expect("a queued WG is indexed");
+    let at = keys
+        .iter()
+        .position(|&k| k == key)
+        .expect("a queued WG is indexed under its queue");
+    keys.remove(at);
+}
+
+fn policy_local((addr, expected): (Addr, i64)) -> WaiterRecord {
+    WaiterRecord {
+        cond: SyncCond { addr, expected },
+        structure: WaiterStructure::PolicyLocal,
+    }
+}
+
 impl SchedPolicy for MinResumePolicy {
     fn name(&self) -> &str {
         "MinResume"
@@ -189,11 +221,10 @@ impl SchedPolicy for MinResumePolicy {
 
     fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
         ctx.l2.set_monitored(fail.cond.addr);
-        self.waiters
-            .entry((fail.cond.addr, fail.cond.expected))
-            .or_default()
-            .push_back(fail.wg);
-        self.version += 1;
+        let key = (fail.cond.addr, fail.cond.expected);
+        self.waiters.entry(key).or_default().push_back(fail.wg);
+        index(&mut self.by_wg, fail.wg, key);
+        ctx.journal_change(fail.wg);
         self.refresh(ctx.l2, fail.cond.addr);
         WaitDirective::Wait {
             release: ctx.oversubscribed(),
@@ -223,16 +254,16 @@ impl SchedPolicy for MinResumePolicy {
 
     fn on_wait_timeout(
         &mut self,
-        _ctx: &mut PolicyCtx<'_>,
+        ctx: &mut PolicyCtx<'_>,
         wg: WgId,
         _cond: &SyncCond,
     ) -> TimeoutAction {
-        self.remove_wg(wg);
+        self.remove_wg(ctx, wg);
         TimeoutAction::Wake
     }
 
-    fn on_wg_finished(&mut self, _ctx: &mut PolicyCtx<'_>, wg: WgId) {
-        self.remove_wg(wg);
+    fn on_wg_finished(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) {
+        self.remove_wg(ctx, wg);
     }
 
     fn cp_tick_period(&self) -> Option<Cycle> {
@@ -244,21 +275,21 @@ impl SchedPolicy for MinResumePolicy {
         self.release_satisfied(ctx, 1, wakes);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        Some(self.version)
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        for (&key, q) in &self.waiters {
+            for &wg in q {
+                visit(wg, policy_local(key));
+            }
+        }
     }
 
-    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
-        for (&(addr, expected), q) in &self.waiters {
-            for &wg in q {
-                visit(
-                    wg,
-                    WaiterRecord {
-                        cond: SyncCond { addr, expected },
-                        structure: WaiterStructure::PolicyLocal,
-                    },
-                );
-            }
+    fn journals_registry(&self) -> bool {
+        true
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        for &key in self.by_wg.get(&wg).into_iter().flatten() {
+            visit(policy_local(key));
         }
     }
 
@@ -306,11 +337,17 @@ impl SchedPolicy for MinResumePolicy {
                 )));
             }
         }
+        // The indexes are not saved: rebuild the per-WG one now and the held
+        // one at the next release.
+        self.by_wg.clear();
+        for (&key, q) in &waiters {
+            for &wg in q {
+                index(&mut self.by_wg, wg, key);
+            }
+        }
         self.waiters = waiters;
-        // The index is not saved: rebuild it at the next release.
         self.held.clear();
         self.synced = None;
-        self.version += 1;
         self.wakes = dec.u64()?;
         Ok(())
     }
@@ -344,6 +381,7 @@ mod tests {
                 ready_wgs: 0,
                 swapped_waiting_wgs: 0,
                 total_wgs: 8,
+                journal: None,
             };
             $body
         }};
@@ -449,12 +487,12 @@ mod tests {
         });
     }
 
-    /// MinResume without the held index, the reference the policy must
-    /// match: every release walks each waited address and peeks its word.
+    /// MinResume without the held and per-WG indexes, the reference the
+    /// policy must match: every release walks each waited address and
+    /// peeks its word, and removing a WG walks every queue.
     #[derive(Default)]
     struct FullWalk {
         waiters: BTreeMap<(Addr, i64), VecDeque<WgId>>,
-        version: u64,
     }
 
     impl FullWalk {
@@ -464,7 +502,6 @@ mod tests {
                 .entry((addr, expected))
                 .or_default()
                 .push_back(wg);
-            self.version += 1;
         }
 
         fn release(&mut self, l2: &mut L2) -> Vec<Wake> {
@@ -474,7 +511,6 @@ mod tests {
                 let key = (addr, l2.peek(addr));
                 if let Some(q) = self.waiters.get_mut(&key) {
                     wakes.push(Wake::now(q.pop_front().expect("queues are never empty")));
-                    self.version += 1;
                     if q.is_empty() {
                         self.waiters.remove(&key);
                         if self
@@ -497,14 +533,18 @@ mod tests {
         }
 
         fn remove_wg(&mut self, wg: WgId) {
-            let mut removed = false;
             self.waiters.retain(|_, q| {
-                let before = q.len();
                 q.retain(|&w| w != wg);
-                removed |= q.len() != before;
                 !q.is_empty()
             });
-            self.version += u64::from(removed);
+        }
+
+        /// Every record, in the policy's visit order, as `(addr, v, wg)`.
+        fn records(&self) -> Vec<(Addr, i64, WgId)> {
+            self.waiters
+                .iter()
+                .flat_map(|(&(addr, v), q)| q.iter().map(move |&wg| (addr, v, wg)))
+                .collect()
         }
     }
 
@@ -550,7 +590,7 @@ mod tests {
         ]
     }
 
-    fn ctx<'a>(l2: &'a mut L2, stats: &'a mut Stats) -> PolicyCtx<'a> {
+    fn ctx<'a>(l2: &'a mut L2, stats: &'a mut Stats, journal: &'a mut Vec<WgId>) -> PolicyCtx<'a> {
         PolicyCtx {
             now: 0,
             l2,
@@ -559,6 +599,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: Some(journal),
         }
     }
 
@@ -570,8 +611,11 @@ mod tests {
         let mut l2 = L2::new(L2Config::isca2020());
         let mut ref_l2 = L2::new(L2Config::isca2020());
         let mut stats = Stats::new();
+        let mut journal = Vec::new();
         let mut saved = None;
         for step in steps {
+            let before = reference.records();
+            journal.clear();
             // Applies a store to both memories and builds its report.
             let write = |l2: &mut L2, ref_l2: &mut L2, a: usize, new: i64, plain: bool| {
                 let addr = ADDRS[a];
@@ -591,14 +635,17 @@ mod tests {
             };
             let (got, want) = match *step {
                 Step::Fail(wg, a, expected) => {
-                    p.on_sync_fail(&mut ctx(&mut l2, &mut stats), &fail(wg, ADDRS[a], expected));
+                    p.on_sync_fail(
+                        &mut ctx(&mut l2, &mut stats, &mut journal),
+                        &fail(wg, ADDRS[a], expected),
+                    );
                     reference.register(&mut ref_l2, wg, ADDRS[a], expected);
                     (Vec::new(), Vec::new())
                 }
                 Step::Store(a, v) | Step::Atomic(a, v) => {
                     let plain = matches!(step, Step::Store(..));
                     let update = write(&mut l2, &mut ref_l2, a, v, plain);
-                    let got = p.update_wakes(&mut ctx(&mut l2, &mut stats), &update);
+                    let got = p.update_wakes(&mut ctx(&mut l2, &mut stats, &mut journal), &update);
                     (got, reference.release(&mut ref_l2))
                 }
                 Step::AtomicNoWrite(a) => {
@@ -612,7 +659,7 @@ mod tests {
                         monitored: l2.is_monitored(addr),
                         by_wg: 99,
                     };
-                    let got = p.update_wakes(&mut ctx(&mut l2, &mut stats), &update);
+                    let got = p.update_wakes(&mut ctx(&mut l2, &mut stats, &mut journal), &update);
                     (got, Vec::new())
                 }
                 Step::Unreported(a, v) => {
@@ -621,7 +668,7 @@ mod tests {
                     (Vec::new(), Vec::new())
                 }
                 Step::Tick => {
-                    let got = p.tick_wakes(&mut ctx(&mut l2, &mut stats));
+                    let got = p.tick_wakes(&mut ctx(&mut l2, &mut stats, &mut journal));
                     (got, reference.release(&mut ref_l2))
                 }
                 Step::Timeout(wg) => {
@@ -629,13 +676,14 @@ mod tests {
                         addr: ADDRS[0],
                         expected: 0,
                     };
-                    let action = p.on_wait_timeout(&mut ctx(&mut l2, &mut stats), wg, &cond);
+                    let action =
+                        p.on_wait_timeout(&mut ctx(&mut l2, &mut stats, &mut journal), wg, &cond);
                     assert_eq!(action, TimeoutAction::Wake);
                     reference.remove_wg(wg);
                     (Vec::new(), Vec::new())
                 }
                 Step::Finish(wg) => {
-                    p.on_wg_finished(&mut ctx(&mut l2, &mut stats), wg);
+                    p.on_wg_finished(&mut ctx(&mut l2, &mut stats, &mut journal), wg);
                     reference.remove_wg(wg);
                     (Vec::new(), Vec::new())
                 }
@@ -649,7 +697,6 @@ mod tests {
                     if let Some((bytes, waiters)) = &saved {
                         p.load_state(&mut Dec::new(bytes)).expect("round trip");
                         reference.waiters = waiters.clone();
-                        reference.version += 1;
                     }
                     (Vec::new(), Vec::new())
                 }
@@ -664,17 +711,27 @@ mod tests {
             }
             let mut visited = Vec::new();
             p.for_each_waiter(&mut |wg, rec| visited.push((rec.cond.addr, rec.cond.expected, wg)));
-            let expected: Vec<_> = reference
-                .waiters
-                .iter()
-                .flat_map(|(&(addr, v), q)| q.iter().map(move |&wg| (addr, v, wg)))
-                .collect();
+            let expected = reference.records();
             assert_eq!(visited, expected, "waiters after {step:?}");
-            assert_eq!(
-                p.registry_version(),
-                Some(reference.version),
-                "after {step:?}"
-            );
+            // Each WG's lookup is its filtered visit, and a WG whose records
+            // changed is journaled (a load, which has no context, is exempt).
+            let of = |records: &[(Addr, i64, WgId)], wg: WgId| -> Vec<(Addr, i64)> {
+                records
+                    .iter()
+                    .filter(|r| r.2 == wg)
+                    .map(|&(addr, v, _)| (addr, v))
+                    .collect()
+            };
+            for wg in 0..6 {
+                let mut looked_up = Vec::new();
+                p.for_each_record_of(wg, &mut |rec| {
+                    looked_up.push((rec.cond.addr, rec.cond.expected));
+                });
+                assert_eq!(looked_up, of(&expected, wg), "WG {wg} after {step:?}");
+                if !matches!(step, Step::Load) && of(&before, wg) != looked_up {
+                    assert!(journal.contains(&wg), "WG {wg} unjournaled after {step:?}");
+                }
+            }
         }
     }
 
@@ -696,7 +753,8 @@ mod tests {
 
         /// Random interleavings of registrations, reported and unreported
         /// stores, ticks, timeouts, finishes, saves and loads release
-        /// exactly what the full walk releases.
+        /// exactly what the full walk releases, and journal and look up
+        /// each WG's records as its visit shows them.
         #[test]
         fn held_index_matches_the_full_walk(steps in prop::collection::vec(step_strategy(), 1..80)) {
             run_against_full_walk(&steps);

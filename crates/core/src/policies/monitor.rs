@@ -40,9 +40,8 @@ pub struct MonitorCore {
     /// The CP firmware tables.
     pub cp: Cp,
     /// Where each waiting WG is tracked (for timeout/finish cleanup).
+    /// Every insert and removal is journaled (`PolicyCtx::journal_change`).
     tracked: FastMap<WgId, (SyncCond, TrackOutcome)>,
-    /// Moves at every change to `tracked`: the registry version.
-    tracked_version: u64,
     /// Reused buffer for the conditions one notification wakes.
     conds: Vec<SyncCond>,
     /// `monitor_wake_batch_size` in the run's registry, resolved at the
@@ -72,7 +71,6 @@ impl MonitorCore {
             log: MonitorLog::new(log_capacity),
             cp: Cp::new(),
             tracked: FastMap::default(),
-            tracked_version: 0,
             conds: Vec::new(),
             batch_hist: None,
             mesa_retries: 0,
@@ -88,7 +86,7 @@ impl MonitorCore {
             RegisterOutcome::Registered => {
                 if ctx.l2.set_monitored(cond.addr) {
                     self.tracked.insert(wg, (cond, TrackOutcome::Cached));
-                    self.tracked_version += 1;
+                    ctx.journal_change(wg);
                     TrackOutcome::Cached
                 } else {
                     // The L2 set is fully pinned: the SyncMon cannot observe
@@ -104,7 +102,7 @@ impl MonitorCore {
     fn spill(&mut self, ctx: &mut PolicyCtx<'_>, cond: SyncCond, wg: WgId) -> TrackOutcome {
         if self.log.push(ctx.l2, ctx.now, LogEntry { cond, wg }) {
             self.tracked.insert(wg, (cond, TrackOutcome::Spilled));
-            self.tracked_version += 1;
+            ctx.journal_change(wg);
             TrackOutcome::Spilled
         } else {
             self.mesa_retries += 1;
@@ -125,11 +123,11 @@ impl MonitorCore {
         let tracked = &mut self.tracked;
         let woken = self.syncmon.take_waiters_with(cond, limit, |wg| {
             tracked.remove(&wg);
+            ctx.journal_change(wg);
             wakes.push(Wake::now(wg));
         });
         self.wakes_issued += woken as u64;
         if woken > 0 {
-            self.tracked_version += 1;
             let h = *self
                 .batch_hist
                 .get_or_insert_with(|| ctx.stats.hist("monitor_wake_batch_size"));
@@ -169,7 +167,7 @@ impl MonitorCore {
     /// Removes `wg`'s registration wherever it lives (timeout wake, finish).
     pub fn untrack(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) {
         if let Some((cond, outcome)) = self.tracked.remove(&wg) {
-            self.tracked_version += 1;
+            ctx.journal_change(wg);
             match outcome {
                 TrackOutcome::Cached => {
                     self.syncmon.remove_waiter(&cond, wg);
@@ -192,24 +190,19 @@ impl MonitorCore {
         self.tracked.get(&wg).copied()
     }
 
-    /// The version of what [`MonitorCore::for_each_waiter`] visits: it
-    /// moves at every insert into or removal from the tracking map, so an
-    /// unchanged version means an unchanged map and visit order.
-    pub fn registry_version(&self) -> u64 {
-        self.tracked_version
-    }
-
     /// Visits every tracked waiter with the structure holding its
-    /// registration, in map order, for the invariant oracle. `MesaRetry`
-    /// outcomes never enter `tracked`, so everything here is Cached or
-    /// Spilled.
+    /// registration, in map order, for the invariant oracle.
     pub fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
         for (&wg, &(cond, outcome)) in &self.tracked {
-            let structure = match outcome {
-                TrackOutcome::Cached => WaiterStructure::SyncMon,
-                TrackOutcome::Spilled | TrackOutcome::MesaRetry => WaiterStructure::MonitorLog,
-            };
-            visit(wg, WaiterRecord { cond, structure });
+            visit(wg, record(cond, outcome));
+        }
+    }
+
+    /// Visits `wg`'s record, if it is tracked: the per-WG lookup of a
+    /// journaling policy.
+    pub fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        if let Some((cond, outcome)) = self.tracking_of(wg) {
+            visit(record(cond, outcome));
         }
     }
 
@@ -230,7 +223,7 @@ impl MonitorCore {
         let met = self.cp.check_conditions(ctx.l2, ctx.now);
         for (_, wg) in met {
             if self.tracked.remove(&wg).is_some() {
-                self.tracked_version += 1;
+                ctx.journal_change(wg);
                 self.wakes_issued += 1;
                 wakes.push(Wake::now(wg));
             }
@@ -249,7 +242,7 @@ impl MonitorCore {
                 for (cond, wgs) in self.syncmon.evict_conditions(count) {
                     for wg in wgs {
                         self.tracked.remove(&wg);
-                        self.tracked_version += 1;
+                        ctx.journal_change(wg);
                         self.chaos_evicted_waiters += 1;
                     }
                     if !self.syncmon.addr_has_conditions(cond.addr) {
@@ -333,7 +326,6 @@ impl MonitorCore {
             }
         }
         self.tracked = tracked;
-        self.tracked_version += 1;
         self.mesa_retries = dec.u64()?;
         self.wakes_issued = dec.u64()?;
         self.chaos_evicted_waiters = dec.u64()?;
@@ -369,6 +361,16 @@ impl MonitorCore {
     }
 }
 
+/// The registry record of a tracked waiter. `MesaRetry` outcomes never
+/// enter the tracking map, so every record is Cached or Spilled.
+fn record(cond: SyncCond, outcome: TrackOutcome) -> WaiterRecord {
+    let structure = match outcome {
+        TrackOutcome::Cached => WaiterStructure::SyncMon,
+        TrackOutcome::Spilled | TrackOutcome::MesaRetry => WaiterStructure::MonitorLog,
+    };
+    WaiterRecord { cond, structure }
+}
+
 impl Default for MonitorCore {
     fn default() -> Self {
         Self::new()
@@ -389,6 +391,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         }
     }
 
@@ -519,5 +522,231 @@ mod tests {
         core.report("monr", &mut stats);
         assert_eq!(stats.get_by_name("monr_mesa_retries"), Some(0));
         assert!(stats.get_by_name("monr_cp_footprint_bytes").is_some());
+    }
+
+    /// The registry change journal, driven through whole policies.
+    mod journal {
+        use super::*;
+        use crate::policies::{AwgPolicy, MonNrOnePolicy, MonRsAllPolicy};
+        use awg_gpu::{MonitoredUpdate, SchedPolicy, SyncFail, SyncStyle};
+        use proptest::prelude::*;
+
+        /// Waited addresses: the first two share a line.
+        const ADDRS: [Addr; 4] = [64, 72, 128, 192];
+        const WGS: WgId = 6;
+
+        /// A monitor stack small enough to spill and to reject: two
+        /// condition slots and two waiter slots (with a one-entry log, the
+        /// fourth waiter retries).
+        fn tiny() -> SyncMonConfig {
+            SyncMonConfig {
+                sets: 1,
+                ways: 2,
+                waiter_slots: 2,
+                bloom_filters: 4,
+            }
+        }
+
+        /// One step of a generated interleaving; `usize` fields index
+        /// `ADDRS`.
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// A WG that is not registered fails its check on
+            /// `(addr, expected)`.
+            Fail(WgId, usize, i64),
+            /// A store of a value, reported: met wakes, and sporadic ones
+            /// on a monitored line.
+            Write(usize, i64),
+            /// An access that writes nothing, reported: sporadic wakes on a
+            /// monitored line.
+            Access(usize),
+            Tick,
+            Timeout(WgId),
+            Delivered(WgId),
+            Finish(WgId),
+            Evict(usize),
+            Storm,
+            /// Whether other WGs wait for resources (AWG's stall path).
+            Oversubscribe(bool),
+            Save,
+            /// Load the last saved state, if any.
+            Load,
+        }
+
+        fn step_strategy() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                (0..WGS, 0usize..4, 0i64..2).prop_map(|(wg, a, v)| Step::Fail(wg, a, v)),
+                (0..WGS, 0usize..4, 0i64..2).prop_map(|(wg, a, v)| Step::Fail(wg, a, v)),
+                (0..WGS, 0usize..4, 0i64..2).prop_map(|(wg, a, v)| Step::Fail(wg, a, v)),
+                (0usize..4, 0i64..2).prop_map(|(a, v)| Step::Write(a, v)),
+                (0usize..4).prop_map(Step::Access),
+                Just(Step::Tick),
+                (0..WGS).prop_map(Step::Timeout),
+                (0..WGS).prop_map(Step::Delivered),
+                (0..WGS).prop_map(Step::Finish),
+                (1usize..3).prop_map(Step::Evict),
+                Just(Step::Storm),
+                any::<bool>().prop_map(Step::Oversubscribe),
+                Just(Step::Save),
+                Just(Step::Load),
+            ]
+        }
+
+        fn records(p: &dyn SchedPolicy) -> Vec<(WgId, WaiterRecord)> {
+            let mut all = Vec::new();
+            p.for_each_waiter(&mut |wg, rec| all.push((wg, rec)));
+            all
+        }
+
+        fn of(all: &[(WgId, WaiterRecord)], wg: WgId) -> Vec<WaiterRecord> {
+            all.iter()
+                .filter(|&&(w, _)| w == wg)
+                .map(|&(_, rec)| rec)
+                .collect()
+        }
+
+        /// Reports an access to `ADDRS[a]` that stores `value`, if any.
+        fn report(
+            p: &mut dyn SchedPolicy,
+            ctx: &mut PolicyCtx<'_>,
+            a: usize,
+            value: Option<i64>,
+            wakes: &mut Vec<Wake>,
+        ) {
+            let addr = ADDRS[a];
+            let old = ctx.l2.peek(addr);
+            if let Some(new) = value {
+                ctx.l2.backing_mut().store(addr, new);
+            }
+            let update = MonitoredUpdate {
+                addr,
+                old,
+                new: value.unwrap_or(old),
+                wrote: value.is_some(),
+                monitored: ctx.l2.is_monitored(addr),
+                by_wg: WGS,
+            };
+            p.on_monitored_update(ctx, &update, wakes);
+        }
+
+        /// Drives `steps` through `p` and checks the journal contract after
+        /// every step: each WG whose visited records changed is journaled
+        /// (a load, which has no context, is exempt), and each WG's lookup
+        /// is its filtered visit.
+        fn check_journal(mut p: Box<dyn SchedPolicy>, steps: &[Step]) {
+            assert!(p.journals_registry(), "{}", p.name());
+            let mut l2 = L2::new(L2Config::isca2020());
+            let mut stats = Stats::new();
+            let mut journal = Vec::new();
+            let (mut oversubscribed, mut saved) = (false, None);
+            for (now, step) in (1..).zip(steps) {
+                let before = records(p.as_ref());
+                journal.clear();
+                let mut ctx = PolicyCtx {
+                    now: now * 100,
+                    l2: &mut l2,
+                    stats: &mut stats,
+                    pending_wgs: usize::from(oversubscribed),
+                    ready_wgs: 0,
+                    swapped_waiting_wgs: 0,
+                    total_wgs: u64::from(WGS),
+                    journal: Some(&mut journal),
+                };
+                let mut wakes = Vec::new();
+                let cond = SyncCond {
+                    addr: ADDRS[0],
+                    expected: 0,
+                };
+                match *step {
+                    Step::Fail(wg, a, expected) => {
+                        if of(&before, wg).is_empty() {
+                            let fail = SyncFail {
+                                wg,
+                                cond: SyncCond {
+                                    addr: ADDRS[a],
+                                    expected,
+                                },
+                                observed: ctx.l2.peek(ADDRS[a]),
+                                via_wait_inst: p.style() == SyncStyle::WaitInst,
+                            };
+                            p.on_sync_fail(&mut ctx, &fail);
+                        }
+                    }
+                    Step::Write(a, v) => report(p.as_mut(), &mut ctx, a, Some(v), &mut wakes),
+                    Step::Access(a) => report(p.as_mut(), &mut ctx, a, None, &mut wakes),
+                    Step::Tick => p.on_cp_tick(&mut ctx, &mut wakes),
+                    Step::Timeout(wg) => {
+                        p.on_wait_timeout(&mut ctx, wg, &cond);
+                    }
+                    Step::Delivered(wg) => p.on_wake_delivered(&mut ctx, wg, &cond),
+                    Step::Finish(wg) => p.on_wg_finished(&mut ctx, wg),
+                    Step::Evict(count) => {
+                        p.on_fault(
+                            &mut ctx,
+                            &PolicyFault::EvictConditions { count },
+                            &mut wakes,
+                        );
+                    }
+                    Step::Storm => p.on_fault(
+                        &mut ctx,
+                        &PolicyFault::BloomStorm { unique_values: 3 },
+                        &mut wakes,
+                    ),
+                    Step::Oversubscribe(on) => oversubscribed = on,
+                    Step::Save => {
+                        let mut enc = Enc::new();
+                        p.save_state(&mut enc);
+                        saved = Some(enc.into_bytes());
+                    }
+                    Step::Load => {
+                        if let Some(bytes) = &saved {
+                            p.load_state(&mut Dec::new(bytes)).expect("round trip");
+                        }
+                    }
+                }
+                let after = records(p.as_ref());
+                for wg in 0..WGS {
+                    let mut looked_up = Vec::new();
+                    p.for_each_record_of(wg, &mut |rec| looked_up.push(rec));
+                    assert_eq!(looked_up, of(&after, wg), "WG {wg} after {step:?}");
+                    if !matches!(step, Step::Load) && of(&before, wg) != looked_up {
+                        assert!(journal.contains(&wg), "WG {wg} unjournaled after {step:?}");
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// MonNR-One: cached registrations, spills, Mesa retries, met
+            /// wakes, CP ticks, timeouts, finishes, evictions, save/load.
+            #[test]
+            fn monnr_one_journals_every_registry_change(
+                steps in prop::collection::vec(step_strategy(), 1..80)
+            ) {
+                let core = MonitorCore::with_config(tiny(), 1);
+                check_journal(Box::new(MonNrOnePolicy::with_core(core)), &steps);
+            }
+
+            /// AWG: the same, plus predicted stalls that escalate instead
+            /// of untracking.
+            #[test]
+            fn awg_journals_every_registry_change(
+                steps in prop::collection::vec(step_strategy(), 1..80)
+            ) {
+                let awg = AwgPolicy::new().with_monitor_config(tiny(), 1);
+                check_journal(Box::new(awg), &steps);
+            }
+
+            /// MonRS-All: sporadic wakes on any access to a monitored line.
+            #[test]
+            fn monrs_all_journals_every_registry_change(
+                steps in prop::collection::vec(step_strategy(), 1..80)
+            ) {
+                let core = MonitorCore::with_config(tiny(), 1);
+                check_journal(Box::new(MonRsAllPolicy::with_core(core)), &steps);
+            }
+        }
     }
 }

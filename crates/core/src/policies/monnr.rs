@@ -173,8 +173,12 @@ impl SchedPolicy for MonNrAllPolicy {
         self.0.core.for_each_waiter(visit);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        Some(self.0.core.registry_version())
+    fn journals_registry(&self) -> bool {
+        true
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.0.core.for_each_record_of(wg, visit);
     }
 
     fn report(&self, stats: &mut Stats) {
@@ -205,6 +209,16 @@ impl MonNrOnePolicy {
     /// Creates the policy with a custom fallback timeout.
     pub fn with_fallback(fallback: Cycle) -> Self {
         MonNrOnePolicy(MonNr::new(ResumeFlavor::One, fallback))
+    }
+}
+
+#[cfg(test)]
+impl MonNrOnePolicy {
+    /// MonNR-One over a custom monitor stack.
+    pub(crate) fn with_core(core: MonitorCore) -> Self {
+        let mut policy = Self::new();
+        policy.0.core = core;
+        policy
     }
 }
 
@@ -269,8 +283,12 @@ impl SchedPolicy for MonNrOnePolicy {
         self.0.core.for_each_waiter(visit);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        Some(self.0.core.registry_version())
+    fn journals_registry(&self) -> bool {
+        true
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.0.core.for_each_record_of(wg, visit);
     }
 
     fn report(&self, stats: &mut Stats) {
@@ -326,6 +344,7 @@ mod tests {
                 ready_wgs: 0,
                 swapped_waiting_wgs: 0,
                 total_wgs: 8,
+                journal: None,
             };
             $body
         }};

@@ -115,8 +115,12 @@ impl SchedPolicy for MonRAllPolicy {
         self.core.for_each_waiter(visit);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        Some(self.core.registry_version())
+    fn journals_registry(&self) -> bool {
+        true
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.core.for_each_record_of(wg, visit);
     }
 
     fn report(&self, stats: &mut Stats) {
@@ -165,6 +169,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         };
         p.on_sync_fail(&mut ctx, &fail(0, 64, 1));
         p.on_sync_fail(&mut ctx, &fail(1, 64, 2));

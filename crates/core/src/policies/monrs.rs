@@ -42,6 +42,17 @@ impl MonRsAllPolicy {
     }
 }
 
+#[cfg(test)]
+impl MonRsAllPolicy {
+    /// MonRS-All over a custom monitor stack.
+    pub(crate) fn with_core(core: MonitorCore) -> Self {
+        MonRsAllPolicy {
+            core,
+            ..Self::new()
+        }
+    }
+}
+
 impl Default for MonRsAllPolicy {
     fn default() -> Self {
         Self::new()
@@ -119,8 +130,12 @@ impl SchedPolicy for MonRsAllPolicy {
         self.core.for_each_waiter(visit);
     }
 
-    fn registry_version(&self) -> Option<u64> {
-        Some(self.core.registry_version())
+    fn journals_registry(&self) -> bool {
+        true
+    }
+
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.core.for_each_record_of(wg, visit);
     }
 
     fn report(&self, stats: &mut Stats) {
@@ -161,6 +176,7 @@ mod tests {
                 ready_wgs: 0,
                 swapped_waiting_wgs: 0,
                 total_wgs: 8,
+                journal: None,
             }
         };
     }

@@ -151,6 +151,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 4,
+            journal: None,
         };
         f(&mut ctx)
     }

@@ -129,6 +129,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 4,
+            journal: None,
         };
         assert_eq!(
             p.on_sync_fail(&mut ctx, &fail(0)),
@@ -152,6 +153,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         };
         assert_eq!(
             p.on_sync_fail(&mut ctx, &fail(0)),
@@ -175,6 +177,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 4,
+            journal: None,
         };
         let cond = SyncCond {
             addr: 64,

@@ -272,16 +272,23 @@ fn cleared_monitored_bit_under_a_cached_waiter_is_a_superset_hole() {
     );
 }
 
-/// MonNR-One behind a registry that changes without its version: every
-/// other visit skips the first record, while `registry_version` reports
-/// the inner policy's.
+/// MonNR-One behind a wrapper that drops [`HIDDEN`]'s registration
+/// without journaling it. The hidden waiter waits without a fallback
+/// timeout. At the first monitored update by another WG at least
+/// [`HIDE_AFTER`] cycles after its failed atomic, the wrapper untracks it
+/// through a context that carries no journal: nothing can wake it any
+/// more, and no journal entry tells the per-event check so.
 #[derive(Debug)]
-struct Unversioned {
+struct Unjournaled {
     inner: MonNrOnePolicy,
-    visits: Cell<u64>,
+    /// Cycle of the hidden waiter's failed atomic, until its record goes.
+    armed_at: Option<Cycle>,
+    /// Cycle at which the hidden waiter's record went.
+    hidden_at: Rc<Cell<Option<Cycle>>>,
+    spent: bool,
 }
 
-impl SchedPolicy for Unversioned {
+impl SchedPolicy for Unjournaled {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -289,7 +296,17 @@ impl SchedPolicy for Unversioned {
         self.inner.style()
     }
     fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
-        self.inner.on_sync_fail(ctx, fail)
+        match self.inner.on_sync_fail(ctx, fail) {
+            WaitDirective::Wait { release, .. } if fail.wg == HIDDEN && !self.spent => {
+                self.spent = true;
+                self.armed_at = Some(ctx.now);
+                WaitDirective::Wait {
+                    release,
+                    timeout: None,
+                }
+            }
+            directive => directive,
+        }
     }
     fn on_monitored_update(
         &mut self,
@@ -297,6 +314,23 @@ impl SchedPolicy for Unversioned {
         update: &MonitoredUpdate,
         wakes: &mut Vec<Wake>,
     ) {
+        if let Some(at) = self.armed_at {
+            if update.by_wg != HIDDEN && ctx.now >= at + HIDE_AFTER {
+                self.armed_at = None;
+                self.hidden_at.set(Some(ctx.now));
+                let mut unjournaled = PolicyCtx {
+                    now: ctx.now,
+                    l2: &mut *ctx.l2,
+                    stats: &mut *ctx.stats,
+                    pending_wgs: ctx.pending_wgs,
+                    ready_wgs: ctx.ready_wgs,
+                    swapped_waiting_wgs: ctx.swapped_waiting_wgs,
+                    total_wgs: ctx.total_wgs,
+                    journal: None,
+                };
+                self.inner.on_wg_finished(&mut unjournaled, HIDDEN);
+            }
+        }
         self.inner.on_monitored_update(ctx, update, wakes);
     }
     fn on_wait_timeout(
@@ -320,37 +354,65 @@ impl SchedPolicy for Unversioned {
         self.inner.on_cp_tick(ctx, wakes);
     }
     fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
-        let visits = self.visits.get();
-        self.visits.set(visits + 1);
-        let mut hide = visits % 2 == 1;
-        self.inner.for_each_waiter(&mut |wg, rec| {
-            if std::mem::take(&mut hide) {
-                return;
-            }
-            visit(wg, rec);
-        });
+        self.inner.for_each_waiter(visit);
     }
-    fn registry_version(&self) -> Option<u64> {
-        self.inner.registry_version()
+    fn journals_registry(&self) -> bool {
+        self.inner.journals_registry()
+    }
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.inner.for_each_record_of(wg, visit);
     }
 }
 
-/// The per-event check skips re-reading a registry whose version held
-/// still. In debug builds it re-reads anyway and compares, so a policy
-/// that breaks the version contract fails loudly instead of silently
-/// blinding the oracle.
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "kept registry_version")]
-fn registry_change_without_a_version_bump_trips_the_debug_cross_check() {
+/// Runs the mutex under [`Unjournaled`] with the oracle on, and returns
+/// the machine and the cycle at which the hidden waiter's record went.
+fn run_unjournaled() -> (Gpu, Option<Cycle>) {
+    let hidden_at = Rc::new(Cell::new(None));
     let mut gpu = Gpu::new(
         GpuConfig::isca2020_baseline(),
         mutex_kernel(),
-        Box::new(Unversioned {
+        Box::new(Unjournaled {
             inner: MonNrOnePolicy::new(),
-            visits: Cell::new(0),
+            armed_at: None,
+            hidden_at: Rc::clone(&hidden_at),
+            spent: false,
         }),
     );
     gpu.enable_invariant_oracle();
     gpu.run();
+    (gpu, hidden_at.get())
+}
+
+/// The per-event check re-reads only the WGs the journal lists. In debug
+/// builds it derives the whole registry after every read and compares,
+/// so a policy that changes a record without journaling it fails loudly
+/// instead of silently blinding the oracle.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "without journaling it")]
+fn registry_change_without_a_journal_entry_trips_the_debug_cross_check() {
+    run_unjournaled();
+}
+
+/// Release builds skip the cross-check: nothing reads the hidden waiter
+/// until the next window sweep, which finds it waiting with no wake path.
+#[cfg(not(debug_assertions))]
+#[test]
+fn registry_change_without_a_journal_entry_waits_for_the_next_window_sweep() {
+    use awg_gpu::oracle::SWEEP_WINDOW;
+    let (gpu, hidden_at) = run_unjournaled();
+    let hidden_at = hidden_at.expect("the record was dropped");
+    let boundary = (hidden_at / SWEEP_WINDOW + 1) * SWEEP_WINDOW;
+    let v = gpu.violations();
+    let first = v.first().unwrap_or_else(|| panic!("nothing reported"));
+    assert_eq!(first.kind, InvariantKind::UnreachableWaiter, "{first}");
+    assert!(
+        first.detail.starts_with("WG 15 waiting in state Stalled"),
+        "{first}"
+    );
+    assert!(
+        (boundary..boundary + 100).contains(&first.at),
+        "dropped at {hidden_at}, reported at {}",
+        first.at
+    );
 }

@@ -19,6 +19,8 @@ use std::time::Duration;
 use awg_sim::json::Value;
 use awg_sim::Cycle;
 
+use crate::oracle::RegistryReads;
+
 /// Number of event-type lanes (one per [`Event`](crate::machine) variant,
 /// in save-tag order).
 pub const EVENT_LANES: usize = 12;
@@ -121,6 +123,9 @@ pub struct HotReport {
     pub log_cp_probes: u64,
     /// Retained trace records — the run's dominant allocation proxy.
     pub trace_records: usize,
+    /// The invariant oracle's registry reads (all zero with the oracle
+    /// off).
+    pub registry_reads: RegistryReads,
 }
 
 impl HotReport {
@@ -138,6 +143,7 @@ impl HotReport {
         peak_monitored_lines: usize,
         log_cp_probes: u64,
         trace_records: usize,
+        registry_reads: RegistryReads,
     ) -> Self {
         let attributed: Duration = prof.lane_wall.iter().sum();
         let mut lanes: Vec<HotLane> = (0..EVENT_LANES)
@@ -168,6 +174,7 @@ impl HotReport {
             peak_monitored_lines,
             log_cp_probes,
             trace_records,
+            registry_reads,
         }
     }
 
@@ -196,6 +203,19 @@ impl HotReport {
             })
             .collect();
         let (atomics, reads, writes) = self.l2_ops;
+        let r = &self.registry_reads;
+        let registry = [
+            ("sweep_reads", r.sweep_reads),
+            ("sweep_records", r.sweep_records),
+            ("full_reads", r.full_reads),
+            ("full_records", r.full_records),
+            ("journal_reads", r.journal_reads),
+            ("journal_wgs", r.journal_wgs),
+            ("journal_records", r.journal_records),
+        ]
+        .into_iter()
+        .map(|(name, n)| (name.to_owned(), Value::Num(n as f64)))
+        .collect();
         Value::Object(vec![
             ("profile".to_owned(), Value::Str("awg-hotspot".to_owned())),
             ("sim_cycles".to_owned(), Value::Num(self.sim_cycles as f64)),
@@ -248,6 +268,7 @@ impl HotReport {
                 "trace_records".to_owned(),
                 Value::Num(self.trace_records as f64),
             ),
+            ("oracle_registry_reads".to_owned(), Value::Object(registry)),
         ])
     }
 }
@@ -279,6 +300,19 @@ impl std::fmt::Display for HotReport {
             self.peak_monitored_lines, self.log_cp_probes
         )?;
         writeln!(f, "  alloc proxy: {} trace records", self.trace_records)?;
+        let r = &self.registry_reads;
+        writeln!(
+            f,
+            "  oracle registry reads: {} by sweeps ({} records), {} whole by events ({} \
+             records), {} journaled ({} WGs, {} records)",
+            r.sweep_reads,
+            r.sweep_records,
+            r.full_reads,
+            r.full_records,
+            r.journal_reads,
+            r.journal_wgs,
+            r.journal_records
+        )?;
         writeln!(
             f,
             "  {:<18} {:>10} {:>12} {:>7}",
@@ -323,6 +357,7 @@ mod tests {
             3,
             11,
             42,
+            RegistryReads::default(),
         );
         let total: f64 = report.lanes.iter().map(|l| l.fraction).sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to 100%: {total}");
@@ -349,6 +384,7 @@ mod tests {
             0,
             0,
             5,
+            RegistryReads::default(),
         );
         let text = report.to_json().to_json();
         let parsed = awg_sim::json::parse(&text).expect("profile JSON parses");
@@ -374,13 +410,26 @@ mod tests {
     fn display_renders_every_lane_and_counter() {
         let mut prof = HotProfile::default();
         prof.note_event(6, Duration::from_micros(10));
-        let report =
-            HotReport::assemble(&prof, 100, Duration::from_micros(20), 1, (0, 0, 0), 0, 0, 0);
+        let report = HotReport::assemble(
+            &prof,
+            100,
+            Duration::from_micros(20),
+            1,
+            (0, 0, 0),
+            0,
+            0,
+            0,
+            RegistryReads {
+                journal_wgs: 17,
+                ..RegistryReads::default()
+            },
+        );
         let text = report.to_string();
         for name in LANE_NAMES {
             assert!(text.contains(name), "{text}");
         }
         assert!(text.contains("calendar high-water"), "{text}");
         assert!(text.contains("share"), "{text}");
+        assert!(text.contains("0 journaled (17 WGs, 0 records)"), "{text}");
     }
 }

@@ -69,7 +69,7 @@ pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, WakeChaosMode};
 pub use hotprof::{HotLane, HotProfile, HotReport, EVENT_LANES, LANE_NAMES};
 pub use machine::Gpu;
-pub use oracle::{InvariantKind, InvariantViolation};
+pub use oracle::{InvariantKind, InvariantViolation, RegistryReads};
 pub use policy::{
     BusyWaitPolicy, MonitorEntrySnapshot, MonitoredUpdate, PolicyCtx, PolicyFault, SchedPolicy,
     SyncCond, SyncFail, SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, WaiterStructure,

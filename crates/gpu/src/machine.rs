@@ -1082,6 +1082,7 @@ impl Gpu {
                 self.l2.monitored_peak(),
                 log_cp_probes,
                 self.trace.len(),
+                self.oracle.borrow().shadow.registry_reads(),
             )
         })
     }
@@ -1113,9 +1114,9 @@ impl Gpu {
         f: impl FnOnce(&mut dyn SchedPolicy, &mut PolicyCtx<'_>) -> R,
     ) -> R {
         let swapped = self.swapped_waiting_count();
-        if self.oracle_on {
-            self.oracle.get_mut().shadow.note_policy_call();
-        }
+        let journal = self
+            .oracle_on
+            .then(|| self.oracle.get_mut().shadow.note_policy_call());
         let mut ctx = PolicyCtx {
             now: self.now,
             l2: &mut self.l2,
@@ -1124,6 +1125,7 @@ impl Gpu {
             ready_wgs: self.ready.len(),
             swapped_waiting_wgs: swapped,
             total_wgs: self.kernel.num_wgs,
+            journal,
         };
         f(self.policy.as_mut(), &mut ctx)
     }

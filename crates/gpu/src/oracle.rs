@@ -47,14 +47,24 @@
 //!   oracle uncounts each one [`Gpu::run`] pops when the loop hands it
 //!   that event, handled or cut off. The counts are rebuilt from the
 //!   calendar only when the shadow is primed.
-//! * On events that called the policy it re-reads the whole registry and
-//!   runs the duplicate, stale and monitored-bit checks over every record,
-//!   unless the policy's
-//!   [`registry_version`](crate::SchedPolicy::registry_version) and the
-//!   L2's monitored-bit version both match the last read: then the
-//!   registry and every monitored bit are as that read saw them, and only
-//!   the stale count, kept from the touched WGs' state changes, can differ.
-//!   A re-read looks up each address's monitored bit once per bit version.
+//! * On events that called the policy it brings its registration marks up
+//!   to date and, if any record would report (a WG listed twice, a stale
+//!   record, a SyncMon record whose line lost its monitored bit), runs the
+//!   sweep's sorted duplicate, stale and monitored-bit checks over the whole
+//!   registry. The marks say, per WG, whether it is registered and whether
+//!   its records would report; with them come counts of both and of the
+//!   stale records, kept between reads from the touched WGs' state changes.
+//!   A policy that [journals its
+//!   registry](crate::SchedPolicy::journals_registry) lists, in a buffer
+//!   the machine hands it through [`PolicyCtx`](crate::PolicyCtx) only
+//!   while the oracle is on, every WG whose record a call added or removed.
+//!   The check then looks up only those WGs' records
+//!   ([`for_each_record_of`](crate::SchedPolicy::for_each_record_of)). It
+//!   reads the whole registry instead when the policy keeps no journal or
+//!   when the L2's monitored-bit version moved since the last whole read,
+//!   since a bit flip can change any SyncMon record's verdict. After a
+//!   whole read a WG whose registration vanished is found among the
+//!   journaled WGs, or, for a policy without a journal, among all WGs.
 //! * Every event it checks the counts in O(#CUs): finished WGs and queue
 //!   lengths against the census, the homes sum, each CU's occupancy
 //!   against its limit and its resource balance, and the machine's
@@ -88,17 +98,23 @@
 //!
 //! The window and run-end sweeps keep the full registry read and the
 //! calendar walk, and so stay the references for the shortcuts. In builds
-//! with debug assertions every skipped read and every count-based
-//! reachability answer is also derived the full way and asserted equal,
-//! and the check each quiet event skips still runs and must find nothing
-//! the violation log does not already hold.
+//! with debug assertions every per-event registry read of a journaling
+//! policy is followed by a whole one, which must find every WG whose
+//! records changed in the journal and agree with the marks and counts;
+//! every count-based reachability answer is also derived the full way and
+//! asserted equal; and the check each quiet event skips still runs and
+//! must find nothing the violation log does not already hold. A change a
+//! journaling policy leaves out of its journal is otherwise seen only by
+//! the next window or run-end sweep.
+//!
+//! The oracle counts the registry reads it makes ([`RegistryReads`]), which
+//! the hot profile reports.
 //!
 //! Leave the oracle off for throughput experiments and on for the chaos
 //! matrix, the conformance lab and CI, where catching a corrupted schedule
 //! at the event that corrupts it is worth the slowdown.
 
-use awg_mem::Addr;
-use awg_sim::{Cycle, FastMap};
+use awg_sim::Cycle;
 
 use crate::machine::{Event, Gpu};
 use crate::policy::{WaiterRecord, WaiterStructure};
@@ -173,26 +189,30 @@ pub(crate) struct OracleShadow {
     /// Each WG's state as of the last check, and the census of those.
     state: Vec<WgState>,
     census: [usize; STATES],
-    /// Id of the last registry read, and the last read that listed each
-    /// WG: a WG is registered iff its mark equals `read`.
+    /// Id of the last whole-registry read. A WG is registered iff its
+    /// `read_mark` equals it, and dirty (listed twice, or cached in the
+    /// SyncMon on an unmonitored line) iff its `dirty_mark` does. A
+    /// journaled read rewrites the marks of the WGs it re-reads.
     read: u64,
     read_mark: Vec<u64>,
-    /// The WGs the last read listed, and the read before it.
-    registered: Vec<WgId>,
-    prev_registered: Vec<WgId>,
-    /// The policy's registry version and the L2's monitored-bit version at
-    /// the last read. The per-event check skips a re-read while both hold.
-    read_version: Option<u64>,
-    read_bits: u64,
-    /// Whether the last read listed a WG twice or found a SyncMon record's
-    /// line unmonitored: what a skipped read would find again.
-    read_dirty: bool,
-    /// How many WGs the last read listed are in a state that cannot wake,
-    /// kept since then from the touched WGs' state changes.
+    dirty_mark: Vec<u64>,
+    /// How many WGs are registered, and how many are dirty.
+    listed: usize,
+    dirty: usize,
+    /// How many registered WGs are in a state that cannot wake, kept
+    /// between reads from the touched WGs' state changes.
     stale: usize,
-    /// Monitored-bit answers by address, valid while the L2's monitored-bit
-    /// version is `read_bits`.
-    bits: FastMap<Addr, bool>,
+    /// The L2's monitored-bit version at the last whole-registry read.
+    bits_version: u64,
+    /// The registry change journal of the current event: the WGs whose
+    /// records the policy calls added or removed (module docs).
+    journal: Vec<WgId>,
+    /// The registry reads made so far.
+    reads: RegistryReads,
+    /// The sorted registry as of the last read, which the journal
+    /// cross-check compares the next one with.
+    #[cfg(debug_assertions)]
+    registry: Vec<(WgId, WaiterRecord)>,
     /// Per WG, the pending token-valid wakes and timeouts (module docs).
     rescues: Rescues,
     /// Every CU's resident list, flattened (`cu_start[i]..cu_start[i + 1]`
@@ -222,9 +242,16 @@ impl OracleShadow {
         }
     }
 
-    /// Records that the current event called the policy.
-    pub(crate) fn note_policy_call(&mut self) {
+    /// Records that the current event called the policy, and returns the
+    /// journal the call writes its registry changes to.
+    pub(crate) fn note_policy_call(&mut self) -> &mut Vec<WgId> {
         self.policy_called = true;
+        &mut self.journal
+    }
+
+    /// The registry reads made so far.
+    pub(crate) fn registry_reads(&self) -> RegistryReads {
+        self.reads
     }
 
     /// Forgets the machine: the next check is a full sweep.
@@ -251,6 +278,7 @@ impl OracleShadow {
 
     fn end_event(&mut self) {
         self.touched.clear();
+        self.journal.clear();
         self.policy_called = false;
         self.event += 1;
     }
@@ -262,6 +290,49 @@ impl OracleShadow {
     fn is_registered(&self, wg: WgId) -> bool {
         self.read_mark[wg as usize] == self.read
     }
+
+    /// Sets `wg`'s marks and the counts from a fresh look at its records:
+    /// whether it has any and whether they are dirty. A WG whose
+    /// registration vanished joins the touch set.
+    fn set_registration(&mut self, wg: WgId, registered: bool, dirty: bool) {
+        let w = wg as usize;
+        let (was, was_dirty) = (self.is_registered(wg), self.dirty_mark[w] == self.read);
+        self.read_mark[w] = if registered { self.read } else { 0 };
+        self.dirty_mark[w] = if dirty { self.read } else { 0 };
+        self.listed = self.listed + usize::from(registered) - usize::from(was);
+        self.dirty = self.dirty + usize::from(dirty) - usize::from(was_dirty);
+        if cannot_wake(self.state[w]) {
+            self.stale = self.stale + usize::from(registered) - usize::from(was);
+        }
+        if was && !registered {
+            self.touch(wg);
+        }
+    }
+}
+
+/// How much of the policy's waiter registry the invariant oracle read:
+/// whole-registry reads and the records they visited, by the full sweeps
+/// and by per-event checks, and journaled reads with the WGs they looked
+/// up and the records those lookups visited (module docs). Reads that only
+/// report (a sorted re-read when something would be reported) and the
+/// debug cross-checks are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegistryReads {
+    /// Whole-registry reads by the full sweeps.
+    pub sweep_reads: u64,
+    /// Records those reads visited.
+    pub sweep_records: u64,
+    /// Whole-registry reads by per-event checks: the policy keeps no
+    /// journal, or the L2's monitored-bit version moved.
+    pub full_reads: u64,
+    /// Records those reads visited.
+    pub full_records: u64,
+    /// Journaled reads by per-event checks.
+    pub journal_reads: u64,
+    /// Journal entries those reads looked up, one WG each.
+    pub journal_wgs: u64,
+    /// Records those lookups visited.
+    pub journal_records: u64,
 }
 
 /// Per WG, how many `WakeDeliver`/`WaitTimeout` events carrying `token[wg]`
@@ -372,6 +443,14 @@ fn cannot_wake(state: WgState) -> bool {
         state,
         WgState::Pending | WgState::ReadySwapped | WgState::Finished
     )
+}
+
+/// `wg`'s records in a registry sorted by WG.
+#[cfg(debug_assertions)]
+fn records_of(registry: &[(WgId, WaiterRecord)], wg: WgId) -> &[(WgId, WaiterRecord)] {
+    let start = registry.partition_point(|&(w, _)| w < wg);
+    let end = registry.partition_point(|&(w, _)| w <= wg);
+    &registry[start..end]
 }
 
 /// The report for a waiter with no wake path.
@@ -511,26 +590,21 @@ impl Gpu {
             self.check_placed(w, shadow.res_count[wg as usize] > 0, &mut r);
         }
         self.check_homes(&counts, shadow.placed, &mut r);
-        if shadow.policy_called && self.registry_unchanged(shadow) {
-            // The registry and every monitored bit are as the last read saw
-            // them: no registration vanished, and only staleness can differ.
-            #[cfg(debug_assertions)]
-            self.assert_registry_unchanged(shadow);
-            if shadow.read_dirty || shadow.stale > 0 {
-                self.check_registry(scratch, gen, &mut r);
-            }
-        } else if shadow.policy_called {
+        if shadow.policy_called {
             // Only a policy call changes the registry or a monitored bit.
-            std::mem::swap(&mut shadow.registered, &mut shadow.prev_registered);
-            if !self.read_marks(shadow) {
-                self.check_registry(scratch, gen, &mut r);
-            }
             // Waiters whose registration vanished join the touch set.
-            for i in 0..shadow.prev_registered.len() {
-                let wg = shadow.prev_registered[i];
-                if !shadow.is_registered(wg) {
-                    shadow.touch(wg);
-                }
+            let journaled = self.policy.journals_registry();
+            if journaled && self.l2.monitored_version() == shadow.bits_version {
+                self.read_journal(shadow);
+            } else {
+                self.reread_registry(shadow, journaled);
+            }
+            #[cfg(debug_assertions)]
+            if journaled {
+                self.assert_journal_matches_a_full_read(shadow);
+            }
+            if shadow.dirty > 0 || shadow.stale > 0 {
+                self.check_registry(scratch, gen, &mut r);
             }
             shadow.touched.sort_unstable();
         } else if shadow
@@ -564,48 +638,95 @@ impl Gpu {
         r.out
     }
 
-    /// Whether the policy's registry and the L2's monitored bits are as the
-    /// last read saw them: the policy keeps a registry version and it, like
-    /// the monitored-bit version, has not moved since.
-    fn registry_unchanged(&self, shadow: &OracleShadow) -> bool {
-        shadow.read_version.is_some()
-            && self.policy.registry_version() == shadow.read_version
-            && self.l2.monitored_version() == shadow.read_bits
+    /// Re-reads the records of each WG in the journal into the shadow's
+    /// marks and counts. The journal lists every WG whose records changed,
+    /// and no monitored bit moved, so every other WG's marks still hold.
+    fn read_journal(&self, shadow: &mut OracleShadow) {
+        shadow.reads.journal_reads += 1;
+        for i in 0..shadow.journal.len() {
+            let wg = shadow.journal[i];
+            let (mut records, mut hole) = (0u64, false);
+            self.policy.for_each_record_of(wg, &mut |rec| {
+                records += 1;
+                hole |= records == 1 && self.superset_hole(rec);
+            });
+            shadow.reads.journal_wgs += 1;
+            shadow.reads.journal_records += records;
+            shadow.set_registration(wg, records > 0, records > 1 || hole);
+        }
     }
 
-    /// Re-derives a skipped read the full way and panics if it differs
-    /// from what the last read left: a policy that changed its registry
-    /// without moving its version broke the
-    /// [`registry_version`](crate::SchedPolicy::registry_version) contract.
-    #[cfg(debug_assertions)]
-    fn assert_registry_unchanged(&self, shadow: &OracleShadow) {
-        let mut records = Vec::new();
-        self.policy
-            .for_each_waiter(&mut |wg, rec| records.push((wg, rec)));
-        // Stable, so each WG's first record stays first, as in a read.
-        records.sort_by_key(|&(wg, _)| wg);
-        let mut listed: Vec<WgId> = Vec::new();
-        let (mut dirty, mut stale) = (false, 0usize);
-        for &(wg, rec) in &records {
-            if listed.last() == Some(&wg) {
-                dirty = true;
-                continue;
+    /// The per-event whole-registry read, for a policy that keeps no
+    /// journal or after a monitored bit moved. A WG the read before listed
+    /// and this one did not still carries that read's mark: a journaling
+    /// policy lists every such WG in its journal, and for any other policy
+    /// every WG is looked at, unless the read before listed none.
+    fn reread_registry(&self, shadow: &mut OracleShadow, journaled: bool) {
+        let listed = shadow.listed;
+        shadow.reads.full_reads += 1;
+        shadow.reads.full_records += self.read_marks(shadow);
+        let gone = shadow.read - 1;
+        let vanished = |shadow: &mut OracleShadow, wg: WgId| {
+            if shadow.read_mark[wg as usize] == gone {
+                shadow.touch(wg);
             }
-            listed.push(wg);
-            stale += usize::from(cannot_wake(shadow.state[wg as usize]));
-            dirty |=
-                rec.structure == WaiterStructure::SyncMon && !self.l2.is_monitored(rec.cond.addr);
+        };
+        if journaled {
+            for i in 0..shadow.journal.len() {
+                let wg = shadow.journal[i];
+                vanished(shadow, wg);
+            }
+        } else if listed > 0 {
+            for wg in 0..self.wgs.len() as WgId {
+                vanished(shadow, wg);
+            }
         }
-        let mut kept = shadow.registered.clone();
-        kept.sort_unstable();
+    }
+
+    /// Derives the registry the full way and panics unless the journal
+    /// held every WG whose records changed since the last read and the
+    /// marks and counts are what a whole read makes of it: a journaling
+    /// policy broke the
+    /// [`journals_registry`](crate::SchedPolicy::journals_registry)
+    /// contract.
+    #[cfg(debug_assertions)]
+    fn assert_journal_matches_a_full_read(&self, shadow: &mut OracleShadow) {
+        let mut now = Vec::new();
+        self.read_registry(&mut now);
+        let before = std::mem::replace(&mut shadow.registry, now);
+        let now = &shadow.registry;
+        for &(wg, _) in before.iter().chain(now) {
+            assert!(
+                records_of(&before, wg) == records_of(now, wg) || shadow.journal.contains(&wg),
+                "policy {} changed the waiter records of WG {wg} without journaling it",
+                self.policy.name()
+            );
+        }
+        let (mut listed, mut dirty, mut stale) = (Vec::new(), Vec::new(), 0usize);
+        for records in now.chunk_by(|a, b| a.0 == b.0) {
+            let (wg, rec) = records[0];
+            listed.push(wg);
+            if records.len() > 1 || self.superset_hole(rec) {
+                dirty.push(wg);
+            }
+            stale += usize::from(cannot_wake(shadow.state[wg as usize]));
+        }
+        let marked = |marks: &[u64]| -> Vec<WgId> {
+            (0..self.wgs.len() as WgId)
+                .filter(|&wg| marks[wg as usize] == shadow.read)
+                .collect()
+        };
         assert_eq!(
-            (listed, dirty, stale),
-            (kept, shadow.read_dirty, shadow.stale),
-            "policy {} kept registry_version {:?} and the L2 its monitored-bit version, \
-             but a fresh registry read differs from the last one",
-            self.policy.name(),
-            shadow.read_version
+            (&listed, &dirty, stale),
+            (
+                &marked(&shadow.read_mark),
+                &marked(&shadow.dirty_mark),
+                shadow.stale
+            ),
+            "policy {} journals its registry, but a full read differs from the journaled one",
+            self.policy.name()
         );
+        assert_eq!((listed.len(), dirty.len()), (shadow.listed, shadow.dirty));
     }
 
     /// Whether every CU's resident count and free resources are as the
@@ -652,45 +773,42 @@ impl Gpu {
         shadow.cu_start.push(shadow.resident.len());
     }
 
-    /// Re-reads the registry into the shadow's marks and returns whether
-    /// no record would report: no WG listed twice, none stale, and every
-    /// SyncMon record's line monitored. Records the versions the read saw.
-    /// Waiters mostly share a few sync addresses, so each address's
-    /// monitored bit is looked up once per monitored-bit version.
-    fn read_marks(&self, shadow: &mut OracleShadow) -> bool {
+    /// Reads the whole registry into the shadow's marks and counts and
+    /// returns the number of records visited.
+    fn read_marks(&self, shadow: &mut OracleShadow) -> u64 {
         shadow.read += 1;
-        shadow.read_version = self.policy.registry_version();
-        let bits_version = self.l2.monitored_version();
-        if bits_version != shadow.read_bits {
-            shadow.bits.clear();
-            shadow.read_bits = bits_version;
-        }
+        shadow.bits_version = self.l2.monitored_version();
         let read = shadow.read;
-        let marks = &mut shadow.read_mark;
-        let registered = &mut shadow.registered;
-        let states = &shadow.state;
-        let bits = &mut shadow.bits;
-        registered.clear();
-        let (mut dirty, mut stale) = (false, 0usize);
+        let OracleShadow {
+            read_mark,
+            dirty_mark,
+            state,
+            ..
+        } = shadow;
+        let (mut records, mut listed, mut dirty, mut stale) = (0u64, 0usize, 0usize, 0usize);
         self.policy.for_each_waiter(&mut |wg, rec| {
-            let mark = &mut marks[wg as usize];
-            if *mark == read {
-                dirty = true;
+            records += 1;
+            let w = wg as usize;
+            if read_mark[w] == read {
+                // Listed twice.
+                if dirty_mark[w] != read {
+                    dirty_mark[w] = read;
+                    dirty += 1;
+                }
                 return;
             }
-            *mark = read;
-            registered.push(wg);
-            stale += usize::from(cannot_wake(states[wg as usize]));
-            if rec.structure == WaiterStructure::SyncMon {
-                let addr = rec.cond.addr;
-                dirty |= !*bits
-                    .entry(addr)
-                    .or_insert_with(|| self.l2.is_monitored(addr));
+            read_mark[w] = read;
+            listed += 1;
+            stale += usize::from(cannot_wake(state[w]));
+            if self.superset_hole(rec) {
+                dirty_mark[w] = read;
+                dirty += 1;
             }
         });
-        shadow.read_dirty = dirty;
+        shadow.listed = listed;
+        shadow.dirty = dirty;
         shadow.stale = stale;
-        !dirty && stale == 0
+        records
     }
 
     /// Rebuilds the shadow from the machine after a full sweep.
@@ -704,16 +822,18 @@ impl Gpu {
         }
         shadow.touch_mark.resize(n, 0);
         shadow.read_mark.resize(n, 0);
+        shadow.dirty_mark.resize(n, 0);
         if !shadow.primed {
             self.count_rescues(&mut shadow.rescues);
         }
         // Sized once, so the run never reallocates them: growing buffers
         // between the machine's own allocations raised peak RSS.
         shadow.touched.reserve(n);
-        shadow.registered.reserve(n);
-        shadow.prev_registered.reserve(n);
         shadow.resident.reserve(n);
-        self.read_marks(shadow);
+        shadow.reads.sweep_reads += 1;
+        shadow.reads.sweep_records += self.read_marks(shadow);
+        #[cfg(debug_assertions)]
+        self.read_registry(&mut shadow.registry);
         shadow.res_count.resize(n, 0);
         shadow.res_cu.resize(n, 0);
         self.snapshot_cus(shadow);
@@ -1050,7 +1170,7 @@ impl Gpu {
             }
             scratch.registered_mark[wg as usize] = gen;
             self.check_stale(wg, rec, r);
-            if rec.structure == WaiterStructure::SyncMon && !self.l2.is_monitored(rec.cond.addr) {
+            if self.superset_hole(rec) {
                 r.push(
                     InvariantKind::MonitorSupersetHole,
                     format!(
@@ -1061,6 +1181,12 @@ impl Gpu {
             }
         }
         scratch.registry = registry;
+    }
+
+    /// Whether `rec` is cached in the SyncMon on a line whose monitored
+    /// bit is clear.
+    fn superset_hole(&self, rec: WaiterRecord) -> bool {
+        rec.structure == WaiterStructure::SyncMon && !self.l2.is_monitored(rec.cond.addr)
     }
 
     fn check_stale(&self, wg: WgId, rec: WaiterRecord, r: &mut Reports) {
@@ -1517,13 +1643,19 @@ mod tests {
         assert_eq!(first.at, stale_at);
     }
 
-    /// Registers each failed waiter once, with a version, and never drops
-    /// a record: a waiter that retries and finishes leaves a stale one.
-    /// Only its 1,000-cycle fallback timeout wakes a waiter.
+    /// Registers each failed waiter once, journaling its record, and never
+    /// drops a record: a waiter that retries and finishes leaves a stale
+    /// one. Only its 1,000-cycle fallback timeout wakes a waiter.
     #[derive(Debug, Default)]
     struct Sticky {
         waiters: std::collections::BTreeMap<WgId, SyncCond>,
-        version: u64,
+    }
+
+    fn policy_local(cond: SyncCond) -> WaiterRecord {
+        WaiterRecord {
+            cond,
+            structure: WaiterStructure::PolicyLocal,
+        }
     }
 
     impl SchedPolicy for Sticky {
@@ -1533,9 +1665,9 @@ mod tests {
         fn style(&self) -> SyncStyle {
             SyncStyle::WaitingAtomic
         }
-        fn on_sync_fail(&mut self, _ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
+        fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
             if self.waiters.insert(fail.wg, fail.cond).is_none() {
-                self.version += 1;
+                ctx.journal_change(fail.wg);
             }
             WaitDirective::Wait {
                 release: false,
@@ -1544,22 +1676,26 @@ mod tests {
         }
         fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
             for (&wg, &cond) in &self.waiters {
-                let structure = WaiterStructure::PolicyLocal;
-                visit(wg, WaiterRecord { cond, structure });
+                visit(wg, policy_local(cond));
             }
         }
-        fn registry_version(&self) -> Option<u64> {
-            Some(self.version)
+        fn journals_registry(&self) -> bool {
+            true
+        }
+        fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+            if let Some(&cond) = self.waiters.get(&wg) {
+                visit(policy_local(cond));
+            }
         }
     }
 
     #[test]
-    fn record_kept_past_finish_is_stale_at_the_finish_under_a_held_version() {
+    fn record_kept_past_finish_is_stale_at_the_finish_under_an_empty_journal() {
         // WG 0 raises a flag at ~3k cycles and computes on to ~23k; WG 1
         // waits for the flag, then halts. Its finish calls the policy,
-        // which keeps its record and its version, so the registry read is
-        // skipped there: the stale count must still report it then, not
-        // at the 5k-cycle sweep.
+        // which keeps its record and journals nothing, so the journaled
+        // read there looks up no WG: the stale count must still report it
+        // then, not at the 5k-cycle sweep.
         const FLAG: u64 = 4096;
         let mut b = ProgramBuilder::new("sticky");
         let waiter = b.new_label();

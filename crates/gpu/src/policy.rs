@@ -221,6 +221,12 @@ pub struct PolicyCtx<'a> {
     pub swapped_waiting_wgs: usize,
     /// Total WGs in the kernel.
     pub total_wgs: u64,
+    /// The registry change journal, present only while the invariant
+    /// oracle runs: a policy that [journals its
+    /// registry](SchedPolicy::journals_registry) appends, through
+    /// [`PolicyCtx::journal_change`], each WG whose record it adds or
+    /// removes.
+    pub journal: Option<&'a mut Vec<WgId>>,
 }
 
 impl PolicyCtx<'_> {
@@ -229,6 +235,14 @@ impl PolicyCtx<'_> {
     /// WGs ready to be resumed or started" (§IV.B).
     pub fn oversubscribed(&self) -> bool {
         self.pending_wgs + self.ready_wgs > 0
+    }
+
+    /// Journals that `wg`'s records in the waiter registry changed, when
+    /// the journal is on.
+    pub fn journal_change(&mut self, wg: WgId) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.push(wg);
+        }
     }
 }
 
@@ -325,17 +339,33 @@ pub trait SchedPolicy {
     /// timeouts visit nothing.
     fn for_each_waiter(&self, _visit: &mut dyn FnMut(WgId, WaiterRecord)) {}
 
-    /// A version of the registry [`Self::for_each_waiter`] visits, or
-    /// `None` (the default) when the policy keeps none. A policy that
-    /// returns `Some` must return a different value whenever the visit
-    /// could produce a different sequence of records than at any earlier
-    /// call that returned the same value. The invariant oracle then skips
-    /// re-reading a registry whose version and the L2's
-    /// [`monitored_version`](awg_mem::L2::monitored_version) both match
-    /// its last read; with `None` it re-reads after every policy call.
-    fn registry_version(&self) -> Option<u64> {
-        None
+    /// Whether the policy journals its registry, which lets the invariant
+    /// oracle re-read only the WGs a policy call changed. A policy that
+    /// returns `true` keeps two promises:
+    ///
+    /// * every hook that adds or removes a record of
+    ///   [`Self::for_each_waiter`] passes the record's WG to
+    ///   [`PolicyCtx::journal_change`] in that call (`load_state`, which
+    ///   has no context, is exempt: a restore makes the oracle read the
+    ///   whole registry);
+    /// * [`Self::for_each_record_of`] answers for any WG.
+    ///
+    /// Journaling a WG whose records did not change is harmless. The
+    /// oracle still reads the whole registry after a call that flipped an
+    /// L2 monitored bit, since a flip can change any SyncMon record's
+    /// verdict. Builds with debug assertions check both promises after
+    /// every per-event read: a whole read must find each WG whose records
+    /// changed in the journal, and agree with what the lookups gave. With
+    /// `false`, the default, the oracle re-reads the whole registry after
+    /// every policy call.
+    fn journals_registry(&self) -> bool {
+        false
     }
+
+    /// Visits `wg`'s records: what [`Self::for_each_waiter`] visits,
+    /// filtered to `wg`, in the same order. Only called when
+    /// [`Self::journals_registry`] holds.
+    fn for_each_record_of(&self, _wg: WgId, _visit: &mut dyn FnMut(WaiterRecord)) {}
 
     /// Dump policy-internal measurements into the run statistics.
     fn report(&self, _stats: &mut Stats) {}
@@ -420,6 +450,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 3,
             total_wgs: 8,
+            journal: None,
         };
         // Swapped-waiting WGs don't need resources yet.
         assert!(!ctx.oversubscribed());
@@ -444,6 +475,7 @@ mod tests {
             ready_wgs: 0,
             swapped_waiting_wgs: 0,
             total_wgs: 8,
+            journal: None,
         };
         let fail = SyncFail {
             wg: 0,

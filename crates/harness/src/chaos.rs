@@ -355,6 +355,8 @@ pub fn run(scale: &Scale) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_instrumented;
+    use awg_gpu::RegistryReads;
 
     #[test]
     fn plans_respect_rescheduling_support() {
@@ -364,6 +366,43 @@ mod tests {
         assert!(
             plan_for(PolicyKind::Sleep, &scale, 1).max_cu().is_none(),
             "Sleep cannot reschedule preempted WGs; its plans must not unplug CUs"
+        );
+    }
+
+    /// The oracle's registry reads on one quick-scale chaos cell, exactly:
+    /// the journaled read's algorithmic claim (ROADMAP item 11). Whole
+    /// reads by events follow only a monitored-bit flip; every other
+    /// policy call looks up just the WGs its journal lists.
+    #[test]
+    fn oracle_registry_reads_of_a_chaos_cell_are_pinned() {
+        let scale = Scale::quick();
+        let policy = PolicyKind::Awg;
+        let r = run_instrumented(
+            BenchmarkKind::FaMutexGlobal,
+            policy,
+            build_policy(policy),
+            &scale,
+            ExperimentConfig::NonOversubscribed,
+            Some(plan_for(policy, &scale, 1)),
+            Instrumentation {
+                hot_profile: true,
+                ..Instrumentation::checked()
+            },
+        );
+        assert!(r.is_valid_completion(), "{} / {:?}", r.outcome, r.validated);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let reads = r.hot.expect("the hot profile was on").registry_reads;
+        assert_eq!(
+            reads,
+            RegistryReads {
+                sweep_reads: 13,
+                sweep_records: 77,
+                full_reads: 2,
+                full_records: 1,
+                journal_reads: 276,
+                journal_wgs: 76,
+                journal_records: 38,
+            }
         );
     }
 
