@@ -6,8 +6,6 @@
 //! 24 bits and uses 6 hash functions (§V.C), giving a ≈2.1 % false-positive
 //! probability at the occupancies the benchmarks produce.
 
-use awg_sim::{CodecError, Dec, Enc};
-
 use crate::hash::UniversalHash;
 
 /// Default filter width in bits (§V.C).
@@ -100,28 +98,6 @@ impl CountingBloom {
     /// Whether no value has been inserted since the last reset.
     pub fn is_empty(&self) -> bool {
         self.bits == 0
-    }
-
-    /// Serializes the mutable filter state (geometry and hash functions are
-    /// configuration, rebuilt by the constructor).
-    pub fn save(&self, enc: &mut Enc) {
-        enc.u32(self.bits);
-        enc.u32(self.unique);
-    }
-
-    /// Restores filter state saved by [`CountingBloom::save`] onto a filter
-    /// with matching geometry.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let bits = dec.u32()?;
-        if self.nbits < 32 && bits >> self.nbits != 0 {
-            return Err(CodecError::Invalid(format!(
-                "bloom bits 0x{bits:x} exceed {}-bit filter",
-                self.nbits
-            )));
-        }
-        self.bits = bits;
-        self.unique = dec.u32()?;
-        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use awg_gpu::{SyncCond, WgId};
 use awg_mem::{Addr, L2};
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::Cycle;
 
 use crate::monitorlog::LogEntry;
 
@@ -204,68 +204,6 @@ impl Cp {
     /// `(entries drained from the log, condition checks performed)`.
     pub fn stats(&self) -> (u64, u64) {
         (self.drained, self.checks)
-    }
-
-    /// Serializes the monitor table and counters. Addresses are written in
-    /// sorted order for a canonical encoding; each address's waiter list is
-    /// written verbatim (`check_conditions` uses `swap_remove`, so the
-    /// in-list order is part of the machine state). The check order is
-    /// configuration and is not written.
-    pub fn save(&self, enc: &mut Enc) {
-        let mut addrs: Vec<Addr> = self.waiting.keys().copied().collect();
-        addrs.sort_unstable();
-        enc.usize(addrs.len());
-        for addr in addrs {
-            enc.u64(addr);
-            let list = &self.waiting[&addr];
-            enc.usize(list.len());
-            for &(expected, wg, seq) in list {
-                enc.i64(expected);
-                enc.u32(wg);
-                enc.u64(seq);
-            }
-        }
-        enc.u64(self.next_seq);
-        enc.usize(self.max_conditions);
-        enc.usize(self.max_addresses);
-        enc.usize(self.max_wgs);
-        enc.u64(self.drained);
-        enc.u64(self.checks);
-    }
-
-    /// Restores state saved by [`Cp::save`].
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let n = dec.count(16)?;
-        let mut waiting: HashMap<Addr, Vec<(i64, WgId, u64)>> = HashMap::with_capacity(n);
-        let mut count = 0usize;
-        for _ in 0..n {
-            let addr = dec.u64()?;
-            let m = dec.count(20)?;
-            if m == 0 {
-                return Err(CodecError::Invalid(format!(
-                    "CP table entry for {addr:#x} is empty"
-                )));
-            }
-            let mut list = Vec::with_capacity(m);
-            for _ in 0..m {
-                list.push((dec.i64()?, dec.u32()?, dec.u64()?));
-            }
-            count += m;
-            if waiting.insert(addr, list).is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "duplicate CP table entry {addr:#x}"
-                )));
-            }
-        }
-        self.waiting = waiting;
-        self.waiting_count = count;
-        self.next_seq = dec.u64()?;
-        self.max_conditions = dec.usize()?;
-        self.max_addresses = dec.usize()?;
-        self.max_wgs = dec.usize()?;
-        self.drained = dec.u64()?;
-        self.checks = dec.u64()?;
-        Ok(())
     }
 }
 

@@ -14,7 +14,7 @@
 
 use awg_gpu::{SyncCond, WgId};
 use awg_mem::{Addr, L2};
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::Cycle;
 
 /// Base address of the Monitor Log's backing storage, above the context
 /// save area.
@@ -114,49 +114,6 @@ impl MonitorLog {
     /// `(appends, Mesa rejections, high-water entries)`.
     pub fn stats(&self) -> (u64, u64, usize) {
         (self.appends, self.rejects, self.high_water)
-    }
-
-    /// Serializes the pending entries and bookkeeping (capacity is
-    /// configuration).
-    pub fn save(&self, enc: &mut Enc) {
-        enc.usize(self.entries.len());
-        for e in &self.entries {
-            enc.u64(e.cond.addr);
-            enc.i64(e.cond.expected);
-            enc.u32(e.wg);
-        }
-        enc.u64(self.next_slot);
-        enc.u64(self.appends);
-        enc.u64(self.rejects);
-        enc.usize(self.high_water);
-    }
-
-    /// Restores state saved by [`MonitorLog::save`] onto a log with matching
-    /// capacity.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let n = dec.count(20)?;
-        if n > self.capacity {
-            return Err(CodecError::Invalid(format!(
-                "{n} log entries exceed capacity {}",
-                self.capacity
-            )));
-        }
-        let mut entries = std::collections::VecDeque::with_capacity(n);
-        for _ in 0..n {
-            entries.push_back(LogEntry {
-                cond: SyncCond {
-                    addr: dec.u64()?,
-                    expected: dec.i64()?,
-                },
-                wg: dec.u32()?,
-            });
-        }
-        self.entries = entries;
-        self.next_slot = dec.u64()?;
-        self.appends = dec.u64()?;
-        self.rejects = dec.u64()?;
-        self.high_water = dec.usize()?;
-        Ok(())
     }
 }
 

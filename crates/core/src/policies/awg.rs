@@ -18,7 +18,7 @@ use awg_gpu::{
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
 use awg_mem::Addr;
-use awg_sim::{CodecError, Cycle, Dec, DistId, Enc, Ewma, FastMap, HistId, Stats};
+use awg_sim::{Cycle, DistId, Ewma, FastMap, HistId, Stats};
 
 use super::monitor::{MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
@@ -28,23 +28,6 @@ const MIN_PREDICTED_STALL: Cycle = 500;
 
 /// Default prediction before any condition-met sample exists.
 const DEFAULT_PREDICTION: Cycle = 4_000;
-
-fn save_ewma(enc: &mut Enc, ewma: &Ewma) {
-    let (shift, value, samples) = ewma.raw();
-    enc.u32(shift);
-    enc.opt_u64(value);
-    enc.u64(samples);
-}
-
-fn load_ewma(dec: &mut Dec<'_>) -> Result<Ewma, CodecError> {
-    let shift = dec.u32()?;
-    if shift > 32 {
-        return Err(CodecError::Invalid(format!("EWMA shift {shift} too large")));
-    }
-    let value = dec.opt_u64()?;
-    let samples = dec.u64()?;
-    Ok(Ewma::from_raw(shift, value, samples))
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -71,7 +54,7 @@ pub struct AwgPolicy {
     /// Reused buffer for the conditions one update meets.
     met: Vec<SyncCond>,
     /// `awg_met_latency_cycles` and `awg_predicted_stall_cycles` in the
-    /// run's registry, resolved at first use; `load_state` clears them.
+    /// run's registry, resolved at first use.
     met_latency_hist: Option<HistId>,
     predicted_stall_dist: Option<DistId>,
 }
@@ -319,68 +302,6 @@ impl SchedPolicy for AwgPolicy {
 
     fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
         self.core.for_each_record_of(wg, visit);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        self.core.save(enc);
-        let mut phases: Vec<(WgId, Phase)> = self.phases.iter().map(|(&wg, &p)| (wg, p)).collect();
-        phases.sort_unstable_by_key(|&(wg, _)| wg);
-        enc.usize(phases.len());
-        for (wg, phase) in phases {
-            enc.u32(wg);
-            enc.u8(match phase {
-                Phase::PredictStall => 0,
-                Phase::Fallback => 1,
-            });
-        }
-        let mut latencies: Vec<Addr> = self.met_latency.keys().copied().collect();
-        latencies.sort_unstable();
-        enc.usize(latencies.len());
-        for addr in latencies {
-            enc.u64(addr);
-            save_ewma(enc, &self.met_latency[&addr]);
-        }
-        save_ewma(enc, &self.global_latency);
-        enc.u64(self.resume_all_events);
-        enc.u64(self.resume_one_events);
-        enc.u64(self.escalations);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        // The machine restores its registry alongside: re-resolve handles.
-        self.met_latency_hist = None;
-        self.predicted_stall_dist = None;
-        self.core.load(dec)?;
-        let n = dec.count(5)?;
-        let mut phases = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let wg = dec.u32()?;
-            let phase = match dec.u8()? {
-                0 => Phase::PredictStall,
-                1 => Phase::Fallback,
-                t => return Err(CodecError::Invalid(format!("unknown AWG phase tag {t}"))),
-            };
-            if phases.insert(wg, phase).is_some() {
-                return Err(CodecError::Invalid(format!("WG {wg} has two AWG phases")));
-            }
-        }
-        self.phases = phases;
-        let n = dec.count(21)?;
-        let mut met_latency = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let addr = dec.u64()?;
-            if met_latency.insert(addr, load_ewma(dec)?).is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "duplicate latency predictor for {addr:#x}"
-                )));
-            }
-        }
-        self.met_latency = met_latency;
-        self.global_latency = load_ewma(dec)?;
-        self.resume_all_events = dec.u64()?;
-        self.resume_one_events = dec.u64()?;
-        self.escalations = dec.u64()?;
-        Ok(())
     }
 
     fn report(&self, stats: &mut Stats) {

@@ -12,7 +12,7 @@ use awg_gpu::{
     MonitorEntrySnapshot, MonitoredUpdate, PolicyCtx, PolicyFault, SchedPolicy, SyncCond, SyncFail,
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 /// What happens to each selected wake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,19 +216,6 @@ impl<P: SchedPolicy> SchedPolicy for ChaosWrap<P> {
         self.inner.report(stats);
         let c = stats.counter(self.mode.stat_name());
         stats.add(c, self.perturbed);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        self.inner.save_state(enc);
-        enc.u64(self.seen);
-        enc.u64(self.perturbed);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.inner.load_state(dec)?;
-        self.seen = dec.u64()?;
-        self.perturbed = dec.u64()?;
-        Ok(())
     }
 }
 

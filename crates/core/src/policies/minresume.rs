@@ -24,7 +24,7 @@ use awg_gpu::{
     WaitDirective, WaiterRecord, WaiterStructure, Wake, WgId,
 };
 use awg_mem::{Addr, L2};
-use awg_sim::{CodecError, Cycle, Dec, Enc, FastMap, Stats};
+use awg_sim::{Cycle, FastMap, Stats};
 
 /// Interval between the oracle's staggered release steps.
 const STAGGER_TICK: Cycle = 500;
@@ -45,7 +45,7 @@ pub struct MinResumePolicy {
     /// write version equals `synced`.
     held: Vec<(Addr, i64)>,
     /// The write version at which `held` was last exact; `None` until the
-    /// first release and after `load_state`.
+    /// first release.
     synced: Option<u64>,
     /// Per WG, the keys of the queues that hold it, sorted, one per queue
     /// entry: `waiters` indexed by WG. A WG that stops waiting keeps its
@@ -297,60 +297,6 @@ impl SchedPolicy for MinResumePolicy {
         let c = stats.counter("minresume_wakes");
         stats.add(c, self.wakes);
     }
-
-    fn save_state(&self, enc: &mut Enc) {
-        enc.usize(self.waiters.len());
-        for (&(addr, expected), q) in &self.waiters {
-            enc.u64(addr);
-            enc.i64(expected);
-            enc.usize(q.len());
-            for &wg in q {
-                enc.u32(wg);
-            }
-        }
-        enc.u64(self.wakes);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let n = dec.count(24)?;
-        let mut waiters = BTreeMap::new();
-        for _ in 0..n {
-            let cond = SyncCond {
-                addr: dec.u64()?,
-                expected: dec.i64()?,
-            };
-            let m = dec.count(4)?;
-            if m == 0 {
-                return Err(CodecError::Invalid(format!(
-                    "empty oracle waiter queue for {:#x}={}",
-                    cond.addr, cond.expected
-                )));
-            }
-            let mut q = VecDeque::with_capacity(m);
-            for _ in 0..m {
-                q.push_back(dec.u32()?);
-            }
-            if waiters.insert((cond.addr, cond.expected), q).is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "duplicate oracle condition {:#x}={}",
-                    cond.addr, cond.expected
-                )));
-            }
-        }
-        // The indexes are not saved: rebuild the per-WG one now and the held
-        // one at the next release.
-        self.by_wg.clear();
-        for (&key, q) in &waiters {
-            for &wg in q {
-                index(&mut self.by_wg, wg, key);
-            }
-        }
-        self.waiters = waiters;
-        self.held.clear();
-        self.synced = None;
-        self.wakes = dec.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -568,10 +514,6 @@ mod tests {
         Tick,
         Timeout(WgId),
         Finish(WgId),
-        /// Both sides save their state.
-        Save,
-        /// Both sides load the last saved state, if any, into themselves.
-        Load,
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
@@ -585,8 +527,6 @@ mod tests {
             Just(Step::Tick),
             (0u32..6).prop_map(Step::Timeout),
             (0u32..6).prop_map(Step::Finish),
-            Just(Step::Save),
-            Just(Step::Load),
         ]
     }
 
@@ -612,7 +552,6 @@ mod tests {
         let mut ref_l2 = L2::new(L2Config::isca2020());
         let mut stats = Stats::new();
         let mut journal = Vec::new();
-        let mut saved = None;
         for step in steps {
             let before = reference.records();
             journal.clear();
@@ -687,19 +626,6 @@ mod tests {
                     reference.remove_wg(wg);
                     (Vec::new(), Vec::new())
                 }
-                Step::Save => {
-                    let mut enc = Enc::new();
-                    p.save_state(&mut enc);
-                    saved = Some((enc.into_bytes(), reference.waiters.clone()));
-                    (Vec::new(), Vec::new())
-                }
-                Step::Load => {
-                    if let Some((bytes, waiters)) = &saved {
-                        p.load_state(&mut Dec::new(bytes)).expect("round trip");
-                        reference.waiters = waiters.clone();
-                    }
-                    (Vec::new(), Vec::new())
-                }
             };
             assert_eq!(got, want, "wake list after {step:?}");
             for addr in ADDRS {
@@ -714,7 +640,7 @@ mod tests {
             let expected = reference.records();
             assert_eq!(visited, expected, "waiters after {step:?}");
             // Each WG's lookup is its filtered visit, and a WG whose records
-            // changed is journaled (a load, which has no context, is exempt).
+            // changed is journaled.
             let of = |records: &[(Addr, i64, WgId)], wg: WgId| -> Vec<(Addr, i64)> {
                 records
                     .iter()
@@ -728,7 +654,7 @@ mod tests {
                     looked_up.push((rec.cond.addr, rec.cond.expected));
                 });
                 assert_eq!(looked_up, of(&expected, wg), "WG {wg} after {step:?}");
-                if !matches!(step, Step::Load) && of(&before, wg) != looked_up {
+                if of(&before, wg) != looked_up {
                     assert!(journal.contains(&wg), "WG {wg} unjournaled after {step:?}");
                 }
             }
@@ -752,7 +678,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random interleavings of registrations, reported and unreported
-        /// stores, ticks, timeouts, finishes, saves and loads release
+        /// stores, ticks, timeouts and finishes release
         /// exactly what the full walk releases, and journal and look up
         /// each WG's records as its visit shows them.
         #[test]

@@ -6,7 +6,7 @@ use awg_gpu::{
     WgId,
 };
 use awg_mem::Addr;
-use awg_sim::{CodecError, Dec, Enc, FastMap, HistId, Stats};
+use awg_sim::{FastMap, HistId, Stats};
 
 use crate::cp::Cp;
 use crate::monitorlog::{LogEntry, MonitorLog};
@@ -45,7 +45,7 @@ pub struct MonitorCore {
     /// Reused buffer for the conditions one notification wakes.
     conds: Vec<SyncCond>,
     /// `monitor_wake_batch_size` in the run's registry, resolved at the
-    /// first wake; [`MonitorCore::load`] clears it.
+    /// first wake.
     batch_hist: Option<HistId>,
     mesa_retries: u64,
     wakes_issued: u64,
@@ -267,70 +267,6 @@ impl MonitorCore {
                 waiters,
             })
             .collect()
-    }
-
-    /// Serializes the full monitor stack: SyncMon, Monitor Log, CP tables,
-    /// and the per-WG tracking map (sorted by WG for a canonical encoding).
-    pub fn save(&self, enc: &mut Enc) {
-        self.syncmon.save(enc);
-        self.log.save(enc);
-        self.cp.save(enc);
-        let mut tracked: Vec<(WgId, (SyncCond, TrackOutcome))> =
-            self.tracked.iter().map(|(&wg, &t)| (wg, t)).collect();
-        tracked.sort_unstable_by_key(|&(wg, _)| wg);
-        enc.usize(tracked.len());
-        for (wg, (cond, outcome)) in tracked {
-            enc.u32(wg);
-            enc.u64(cond.addr);
-            enc.i64(cond.expected);
-            enc.u8(match outcome {
-                TrackOutcome::Cached => 0,
-                TrackOutcome::Spilled => 1,
-                TrackOutcome::MesaRetry => 2,
-            });
-        }
-        enc.u64(self.mesa_retries);
-        enc.u64(self.wakes_issued);
-        enc.u64(self.chaos_evicted_waiters);
-        enc.u64(self.chaos_bloom_pollutions);
-    }
-
-    /// Restores state saved by [`MonitorCore::save`] onto a stack with
-    /// matching geometry. The machine restores its statistics registry
-    /// alongside, so the cached histogram handle is dropped.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.batch_hist = None;
-        self.syncmon.load(dec)?;
-        self.log.load(dec)?;
-        self.cp.load(dec)?;
-        let n = dec.count(21)?;
-        let mut tracked = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let wg = dec.u32()?;
-            let cond = SyncCond {
-                addr: dec.u64()?,
-                expected: dec.i64()?,
-            };
-            let outcome = match dec.u8()? {
-                0 => TrackOutcome::Cached,
-                1 => TrackOutcome::Spilled,
-                2 => TrackOutcome::MesaRetry,
-                t => {
-                    return Err(CodecError::Invalid(format!(
-                        "unknown track outcome tag {t}"
-                    )));
-                }
-            };
-            if tracked.insert(wg, (cond, outcome)).is_some() {
-                return Err(CodecError::Invalid(format!("WG {wg} tracked twice")));
-            }
-        }
-        self.tracked = tracked;
-        self.mesa_retries = dec.u64()?;
-        self.wakes_issued = dec.u64()?;
-        self.chaos_evicted_waiters = dec.u64()?;
-        self.chaos_bloom_pollutions = dec.u64()?;
-        Ok(())
     }
 
     /// Dumps monitor counters into the run statistics.
@@ -568,9 +504,6 @@ mod tests {
             Storm,
             /// Whether other WGs wait for resources (AWG's stall path).
             Oversubscribe(bool),
-            Save,
-            /// Load the last saved state, if any.
-            Load,
         }
 
         fn step_strategy() -> impl Strategy<Value = Step> {
@@ -587,8 +520,6 @@ mod tests {
                 (1usize..3).prop_map(Step::Evict),
                 Just(Step::Storm),
                 any::<bool>().prop_map(Step::Oversubscribe),
-                Just(Step::Save),
-                Just(Step::Load),
             ]
         }
 
@@ -630,15 +561,14 @@ mod tests {
         }
 
         /// Drives `steps` through `p` and checks the journal contract after
-        /// every step: each WG whose visited records changed is journaled
-        /// (a load, which has no context, is exempt), and each WG's lookup
-        /// is its filtered visit.
+        /// every step: each WG whose visited records changed is journaled,
+        /// and each WG's lookup is its filtered visit.
         fn check_journal(mut p: Box<dyn SchedPolicy>, steps: &[Step]) {
             assert!(p.journals_registry(), "{}", p.name());
             let mut l2 = L2::new(L2Config::isca2020());
             let mut stats = Stats::new();
             let mut journal = Vec::new();
-            let (mut oversubscribed, mut saved) = (false, None);
+            let mut oversubscribed = false;
             for (now, step) in (1..).zip(steps) {
                 let before = records(p.as_ref());
                 journal.clear();
@@ -693,23 +623,13 @@ mod tests {
                         &mut wakes,
                     ),
                     Step::Oversubscribe(on) => oversubscribed = on,
-                    Step::Save => {
-                        let mut enc = Enc::new();
-                        p.save_state(&mut enc);
-                        saved = Some(enc.into_bytes());
-                    }
-                    Step::Load => {
-                        if let Some(bytes) = &saved {
-                            p.load_state(&mut Dec::new(bytes)).expect("round trip");
-                        }
-                    }
                 }
                 let after = records(p.as_ref());
                 for wg in 0..WGS {
                     let mut looked_up = Vec::new();
                     p.for_each_record_of(wg, &mut |rec| looked_up.push(rec));
                     assert_eq!(looked_up, of(&after, wg), "WG {wg} after {step:?}");
-                    if !matches!(step, Step::Load) && of(&before, wg) != looked_up {
+                    if of(&before, wg) != looked_up {
                         assert!(journal.contains(&wg), "WG {wg} unjournaled after {step:?}");
                     }
                 }
@@ -720,7 +640,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// MonNR-One: cached registrations, spills, Mesa retries, met
-            /// wakes, CP ticks, timeouts, finishes, evictions, save/load.
+            /// wakes, CP ticks, timeouts, finishes, evictions.
             #[test]
             fn monnr_one_journals_every_registry_change(
                 steps in prop::collection::vec(step_strategy(), 1..80)

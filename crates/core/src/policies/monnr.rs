@@ -15,7 +15,7 @@ use awg_gpu::{
     MonitorEntrySnapshot, MonitoredUpdate, PolicyCtx, PolicyFault, SchedPolicy, SyncCond, SyncFail,
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 use super::monitor::{MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
@@ -82,17 +82,6 @@ impl MonNr {
     fn on_wait_timeout(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) -> TimeoutAction {
         self.core.untrack(ctx, wg);
         TimeoutAction::Wake
-    }
-
-    fn save(&self, enc: &mut Enc) {
-        self.core.save(enc);
-        enc.u64(self.met_wakes);
-    }
-
-    fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.core.load(dec)?;
-        self.met_wakes = dec.u64()?;
-        Ok(())
     }
 }
 
@@ -185,14 +174,6 @@ impl SchedPolicy for MonNrAllPolicy {
         self.0.core.report("monnr_all", stats);
         let c = stats.counter("monnr_all_met_wakes");
         stats.add(c, self.0.met_wakes);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        self.0.save(enc);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.0.load(dec)
     }
 }
 
@@ -295,14 +276,6 @@ impl SchedPolicy for MonNrOnePolicy {
         self.0.core.report("monnr_one", stats);
         let c = stats.counter("monnr_one_met_wakes");
         stats.add(c, self.0.met_wakes);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        self.0.save(enc);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.0.load(dec)
     }
 }
 

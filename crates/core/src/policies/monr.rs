@@ -11,7 +11,7 @@ use awg_gpu::{
     MonitorEntrySnapshot, MonitoredUpdate, PolicyCtx, PolicyFault, SchedPolicy, SyncCond, SyncFail,
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 use super::monitor::{MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
@@ -127,17 +127,6 @@ impl SchedPolicy for MonRAllPolicy {
         self.core.report("monr", stats);
         let c = stats.counter("monr_met_wakes");
         stats.add(c, self.met_wakes);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        self.core.save(enc);
-        enc.u64(self.met_wakes);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.core.load(dec)?;
-        self.met_wakes = dec.u64()?;
-        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@ use awg_gpu::{
     MonitorEntrySnapshot, MonitoredUpdate, PolicyCtx, PolicyFault, SchedPolicy, SyncCond, SyncFail,
     SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, Wake, WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 use super::monitor::{MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
@@ -142,17 +142,6 @@ impl SchedPolicy for MonRsAllPolicy {
         self.core.report("monrs", stats);
         let c = stats.counter("monrs_sporadic_wakes");
         stats.add(c, self.sporadic_wakes);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        self.core.save(enc);
-        enc.u64(self.sporadic_wakes);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.core.load(dec)?;
-        self.sporadic_wakes = dec.u64()?;
-        Ok(())
     }
 }
 

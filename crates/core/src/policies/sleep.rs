@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use awg_gpu::{PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, WaitDirective, WgId};
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 /// Initial backoff interval in cycles (doubles per failed retry).
 pub const BACKOFF_BASE: Cycle = 250;
@@ -86,43 +86,6 @@ impl SchedPolicy for SleepBackoffPolicy {
         stats.add(c, self.sleeps);
         let c = stats.counter("sleep_backoff_slept_cycles");
         stats.add(c, self.slept_cycles);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        let mut ladders: Vec<(WgId, (SyncCond, Cycle))> =
-            self.backoff.iter().map(|(&wg, &v)| (wg, v)).collect();
-        ladders.sort_unstable_by_key(|&(wg, _)| wg);
-        enc.usize(ladders.len());
-        for (wg, (cond, interval)) in ladders {
-            enc.u32(wg);
-            enc.u64(cond.addr);
-            enc.i64(cond.expected);
-            enc.u64(interval);
-        }
-        enc.u64(self.sleeps);
-        enc.u64(self.slept_cycles);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let n = dec.count(28)?;
-        let mut backoff = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let wg = dec.u32()?;
-            let cond = SyncCond {
-                addr: dec.u64()?,
-                expected: dec.i64()?,
-            };
-            let interval = dec.u64()?;
-            if backoff.insert(wg, (cond, interval)).is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "WG {wg} has two backoff ladders"
-                )));
-            }
-        }
-        self.backoff = backoff;
-        self.sleeps = dec.u64()?;
-        self.slept_cycles = dec.u64()?;
-        Ok(())
     }
 }
 

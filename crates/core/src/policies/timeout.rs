@@ -8,7 +8,7 @@
 use awg_gpu::{
     PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, TimeoutAction, WaitDirective, WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 /// Fixed-interval waiting, context switching when oversubscribed.
 #[derive(Debug, Clone)]
@@ -83,19 +83,6 @@ impl SchedPolicy for TimeoutPolicy {
             let c = stats.counter(name);
             stats.add(c, value);
         }
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        enc.u64(self.stalls);
-        enc.u64(self.switches);
-        enc.u64(self.timeouts);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.stalls = dec.u64()?;
-        self.switches = dec.u64()?;
-        self.timeouts = dec.u64()?;
-        Ok(())
     }
 }
 

@@ -11,7 +11,7 @@
 
 use awg_gpu::{SyncCond, WgId};
 use awg_mem::Addr;
-use awg_sim::{CodecError, Dec, Enc, FastMap};
+use awg_sim::FastMap;
 
 use crate::bloom::CountingBloom;
 use crate::hash::{condition_key, UniversalHash};
@@ -453,204 +453,6 @@ impl SyncMon {
     /// Registrations rejected for capacity (spilled to the Monitor Log).
     pub fn spill_count(&self) -> u64 {
         self.spills
-    }
-
-    /// Serializes the mutable monitor state. Geometry and hash functions are
-    /// configuration and are not written; the per-address slot lists and the
-    /// free list are written verbatim because their order is load-bearing
-    /// (notification order, free-slot reuse order).
-    pub fn save(&self, enc: &mut Enc) {
-        let live: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| self.entries[i].is_some())
-            .collect();
-        enc.usize(live.len());
-        for slot in live {
-            let e = self.entries[slot].expect("slot is live");
-            enc.u32(slot as u32);
-            enc.u64(e.cond.addr);
-            enc.i64(e.cond.expected);
-            enc.opt_u16(e.head);
-            enc.opt_u16(e.tail);
-            enc.u16(e.waiters);
-            enc.u64(e.registered_at);
-        }
-        let nodes: Vec<usize> = (0..self.pool.len())
-            .filter(|&i| self.pool[i].is_some())
-            .collect();
-        enc.usize(nodes.len());
-        for idx in nodes {
-            let n = self.pool[idx].expect("node is live");
-            enc.u32(idx as u32);
-            enc.u32(n.wg);
-            enc.opt_u16(n.next);
-        }
-        enc.usize(self.free.len());
-        for &f in &self.free {
-            enc.u16(f);
-        }
-        let mut addrs: Vec<Addr> = self.addr_index.keys().copied().collect();
-        addrs.sort_unstable();
-        enc.usize(addrs.len());
-        for addr in addrs {
-            enc.u64(addr);
-            let slots = &self.addr_index[&addr];
-            enc.usize(slots.len());
-            for &s in slots {
-                enc.u32(s as u32);
-            }
-        }
-        enc.usize(self.blooms.len());
-        for b in &self.blooms {
-            b.save(enc);
-        }
-        enc.usize(self.waiters_used);
-        enc.usize(self.max_conditions);
-        enc.usize(self.max_waiters);
-        enc.usize(self.max_monitored_addrs);
-        enc.u64(self.spills);
-    }
-
-    /// Restores state saved by [`SyncMon::save`] onto a monitor with
-    /// matching geometry, validating every index against it.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let capacity = self.config.condition_capacity();
-        let slots = self.config.waiter_slots;
-        let mut entries = vec![None; capacity];
-        let n = dec.count(31)?;
-        for _ in 0..n {
-            let slot = dec.u32()? as usize;
-            if slot >= capacity {
-                return Err(CodecError::Invalid(format!(
-                    "condition slot {slot} out of range ({capacity} slots)"
-                )));
-            }
-            if entries[slot].is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "duplicate condition slot {slot}"
-                )));
-            }
-            let cond = SyncCond {
-                addr: dec.u64()?,
-                expected: dec.i64()?,
-            };
-            let head = dec.opt_u16()?;
-            let tail = dec.opt_u16()?;
-            let waiters = dec.u16()?;
-            let registered_at = dec.u64()?;
-            for ptr in [head, tail].into_iter().flatten() {
-                if ptr as usize >= slots {
-                    return Err(CodecError::Invalid(format!(
-                        "waiter pointer {ptr} out of range ({slots} slots)"
-                    )));
-                }
-            }
-            entries[slot] = Some(CondEntry {
-                cond,
-                head,
-                tail,
-                waiters,
-                registered_at,
-            });
-        }
-        let mut pool = vec![None; slots];
-        let n = dec.count(9)?;
-        for _ in 0..n {
-            let idx = dec.u32()? as usize;
-            if idx >= slots {
-                return Err(CodecError::Invalid(format!(
-                    "waiter node {idx} out of range ({slots} slots)"
-                )));
-            }
-            if pool[idx].is_some() {
-                return Err(CodecError::Invalid(format!("duplicate waiter node {idx}")));
-            }
-            let wg = dec.u32()?;
-            let next = dec.opt_u16()?;
-            if let Some(nx) = next {
-                if nx as usize >= slots {
-                    return Err(CodecError::Invalid(format!(
-                        "waiter link {nx} out of range ({slots} slots)"
-                    )));
-                }
-            }
-            pool[idx] = Some(WaiterNode { wg, next });
-        }
-        let live_nodes = n;
-        let n = dec.count(2)?;
-        let mut free = Vec::with_capacity(n);
-        for _ in 0..n {
-            let f = dec.u16()?;
-            if f as usize >= slots {
-                return Err(CodecError::Invalid(format!(
-                    "free-list slot {f} out of range ({slots} slots)"
-                )));
-            }
-            if pool[f as usize].is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "free-list slot {f} is occupied"
-                )));
-            }
-            free.push(f);
-        }
-        if free.len() + live_nodes != slots {
-            return Err(CodecError::Invalid(format!(
-                "waiter accounting broken: {} free + {live_nodes} live != {slots}",
-                free.len()
-            )));
-        }
-        let n = dec.count(17)?;
-        let mut addr_index = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let addr = dec.u64()?;
-            let m = dec.count(4)?;
-            let mut list = Vec::with_capacity(m);
-            for _ in 0..m {
-                let s = dec.u32()? as usize;
-                if s >= capacity || entries[s].is_none() {
-                    return Err(CodecError::Invalid(format!(
-                        "address index references dead slot {s}"
-                    )));
-                }
-                list.push(s);
-            }
-            if list.is_empty() {
-                return Err(CodecError::Invalid(format!(
-                    "address index entry for {addr:#x} is empty"
-                )));
-            }
-            if addr_index.insert(addr, list).is_some() {
-                return Err(CodecError::Invalid(format!(
-                    "duplicate address index entry {addr:#x}"
-                )));
-            }
-        }
-        let n = dec.count(8)?;
-        if n != self.config.bloom_filters {
-            return Err(CodecError::Invalid(format!(
-                "{n} bloom filters in snapshot, config has {}",
-                self.config.bloom_filters
-            )));
-        }
-        for b in &mut self.blooms {
-            b.load(dec)?;
-        }
-        let waiters_used = dec.usize()?;
-        if waiters_used != live_nodes {
-            return Err(CodecError::Invalid(format!(
-                "waiters_used {waiters_used} != {live_nodes} live nodes"
-            )));
-        }
-        self.live_conditions = entries.iter().flatten().count();
-        self.entries = entries;
-        self.pool = pool;
-        self.free = free;
-        self.addr_index = addr_index;
-        self.waiters_used = waiters_used;
-        self.max_conditions = dec.usize()?;
-        self.max_waiters = dec.usize()?;
-        self.max_monitored_addrs = dec.usize()?;
-        self.spills = dec.u64()?;
-        Ok(())
     }
 }
 

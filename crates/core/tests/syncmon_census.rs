@@ -1,11 +1,10 @@
 //! The SyncMon's incrementally kept condition count must always equal a
 //! scan of its condition slots, and its condition high-water mark a
 //! brute-force running maximum, across every operation that adds or
-//! removes entries, including a save→load round trip.
+//! removes entries.
 
 use awg_core::{SyncMon, SyncMonConfig};
 use awg_gpu::SyncCond;
-use awg_sim::{Dec, Enc};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -14,7 +13,6 @@ enum Op {
     Take { cond: SyncCond, limit: usize },
     Remove { cond: SyncCond, wg: u32 },
     Evict { count: usize },
-    SaveLoad,
 }
 
 /// A small monitor so both the condition sets and the waiter list fill.
@@ -40,19 +38,7 @@ fn op() -> impl Strategy<Value = Op> {
         (cond(), 0usize..3).prop_map(|(cond, limit)| Op::Take { cond, limit }),
         (cond(), 0u32..12).prop_map(|(cond, wg)| Op::Remove { cond, wg }),
         (0usize..3).prop_map(|count| Op::Evict { count }),
-        Just(Op::SaveLoad),
     ]
-}
-
-fn save_load(mon: &SyncMon) -> SyncMon {
-    let mut enc = Enc::new();
-    mon.save(&mut enc);
-    let bytes = enc.into_bytes();
-    let mut restored = SyncMon::new(*mon.config());
-    let mut dec = Dec::new(&bytes);
-    restored.load(&mut dec).expect("own snapshot loads");
-    dec.finish().expect("snapshot fully consumed");
-    restored
 }
 
 proptest! {
@@ -76,7 +62,6 @@ proptest! {
                 Op::Evict { count } => {
                     mon.evict_conditions(count);
                 }
-                Op::SaveLoad => mon = save_load(&mon),
             }
             let scanned = mon.snapshot().len();
             running_max = running_max.max(scanned);

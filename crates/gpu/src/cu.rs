@@ -6,7 +6,6 @@
 //! resources … are saturated").
 
 use awg_mem::{Cache, CacheConfig};
-use awg_sim::{CodecError, Dec, Enc};
 
 use crate::config::{GpuConfig, WgResources};
 use crate::wg::WgId;
@@ -158,47 +157,6 @@ impl Cu {
     /// L1 config (for tests).
     pub fn l1_config(&self) -> &CacheConfig {
         self.l1.config()
-    }
-
-    /// Serializes the CU's mutable state: free-resource counters, the
-    /// resident list (order preserved verbatim — `release` uses
-    /// `swap_remove`, so the order is load-bearing), the enabled flag, and
-    /// the private L1. Capacities are configuration, not state.
-    pub fn save(&self, enc: &mut Enc) {
-        enc.u32(self.free_wf);
-        enc.u32(self.free_lds);
-        enc.u32(self.free_vgprs);
-        enc.usize(self.resident.len());
-        for &wg in &self.resident {
-            enc.u32(wg);
-        }
-        enc.bool(self.enabled);
-        self.l1.save(enc);
-    }
-
-    /// Overlays state written by [`Cu::save`]. Fails if a restored free
-    /// count exceeds this CU's configured capacity.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.free_wf = dec.u32()?;
-        self.free_lds = dec.u32()?;
-        self.free_vgprs = dec.u32()?;
-        if self.free_wf > self.wf_slots
-            || self.free_lds > self.lds_bytes
-            || self.free_vgprs > self.vgprs
-        {
-            return Err(CodecError::Invalid(format!(
-                "CU {} free resources exceed capacity",
-                self.id
-            )));
-        }
-        let n = dec.count(4)?;
-        self.resident.clear();
-        self.resident.reserve(n);
-        for _ in 0..n {
-            self.resident.push(dec.u32()?);
-        }
-        self.enabled = dec.bool()?;
-        self.l1.load(dec)
     }
 }
 

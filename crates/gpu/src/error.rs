@@ -33,9 +33,8 @@ pub enum SimError {
         message: String,
     },
     /// A campaign job exceeded its watchdog limit (wall-clock deadline or
-    /// simulated-cycle budget) and exhausted its retries. The supervisor
-    /// turns wedged jobs into this typed row so the rest of the campaign
-    /// can finish.
+    /// simulated-cycle budget). The supervisor turns wedged jobs into this
+    /// typed row so the rest of the campaign can finish.
     JobTimeout {
         /// Stable key of the job that timed out.
         job: String,
@@ -44,18 +43,6 @@ pub enum SimError {
         /// Which watchdog limit fired.
         cause: CancelCause,
     },
-    /// A campaign job was abandoned before producing a result because the
-    /// campaign was interrupted (SIGINT/SIGTERM).
-    JobCancelled {
-        /// Stable key of the abandoned job.
-        job: String,
-    },
-    /// A checkpoint snapshot could not be restored: the file is truncated,
-    /// corrupted (CRC mismatch), from an incompatible format version, from a
-    /// different run configuration, or decodes into an inconsistent machine.
-    /// Restore fails closed with this error rather than resuming a machine
-    /// that could silently diverge.
-    CorruptCheckpoint(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -69,12 +56,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::JobTimeout { job, at, cause } => {
                 write!(f, "job '{job}' timed out at cycle {at}: {cause}")
-            }
-            SimError::JobCancelled { job } => {
-                write!(f, "job '{job}' cancelled before completion")
-            }
-            SimError::CorruptCheckpoint(msg) => {
-                write!(f, "corrupt checkpoint: {msg}")
             }
         }
     }
@@ -112,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn timeout_and_cancel_display_the_job_key() {
+    fn timeout_displays_the_job_key() {
         let e = SimError::JobTimeout {
             job: "chaos/TB_LG/Baseline".into(),
             at: 123_456,
@@ -122,20 +103,5 @@ mod tests {
         assert!(text.contains("chaos/TB_LG/Baseline"), "{text}");
         assert!(text.contains("timed out at cycle 123456"), "{text}");
         assert!(text.contains("budget 100000"), "{text}");
-
-        let e = SimError::JobCancelled {
-            job: "fig5/SPM_G".into(),
-        };
-        let text = e.to_string();
-        assert!(text.contains("fig5/SPM_G"), "{text}");
-        assert!(text.contains("cancelled"), "{text}");
-    }
-
-    #[test]
-    fn corrupt_checkpoint_display_names_the_cause() {
-        let e = SimError::CorruptCheckpoint("section crc mismatch".into());
-        let text = e.to_string();
-        assert!(text.contains("corrupt checkpoint"), "{text}");
-        assert!(text.contains("crc mismatch"), "{text}");
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! Zero-cost-when-off: the machine holds an `Option<Box<HotProfile>>` and
 //! every hook is behind an `if let`. Like the telemetry hub's
-//! `SelfProfile`, the profiler is host-only state — it is never serialized
-//! into checkpoints and never feeds the digest trail, so enabling it
-//! cannot perturb simulated behaviour.
+//! `SelfProfile`, the profiler is host-only state — it never feeds the
+//! digest trail, so enabling it cannot perturb simulated behaviour.
 
 use std::time::Duration;
 

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod config;
 pub mod cu;
 pub mod error;
@@ -59,10 +58,6 @@ pub mod trace;
 pub mod watchdog;
 pub mod wg;
 
-pub use checkpoint::{
-    read_checkpoint, restore_into, write_checkpoint, CheckpointImage, CheckpointSpec,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-};
 pub use config::{GpuConfig, Kernel, WgResources, CONTEXT_BASE};
 pub use cu::Cu;
 pub use error::SimError;
@@ -78,7 +73,5 @@ pub use policy::{
 pub use result::{HangReport, RunOutcome, RunSummary, WgWaitInfo};
 pub use timeline::{chrome_trace, chrome_trace_builder, expected_counts, TimelineCounts};
 pub use trace::{Trace, TraceEvent, TraceFilter, TraceRecord};
-pub use watchdog::{
-    global_cancelled, request_global_cancel, reset_global_cancel, CancelCause, Watchdog,
-};
+pub use watchdog::{CancelCause, Watchdog};
 pub use wg::{WgId, WgState};

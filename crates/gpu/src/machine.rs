@@ -17,11 +17,9 @@ use awg_sim::telemetry::{
     AttributionCause, SnapshotSample, Subsystem, SwapDir, ATTRIBUTION_CAUSES, PROGRESS_STATES,
 };
 use awg_sim::{
-    CodecError, Cycle, Dec, Enc, EventQueue, Fingerprint64, HistId, ProfileReport, Stats,
-    TelemetryConfig, TelemetryHub,
+    Cycle, EventQueue, Fingerprint64, HistId, ProfileReport, Stats, TelemetryConfig, TelemetryHub,
 };
 
-use crate::checkpoint::CheckpointSpec;
 use crate::config::{GpuConfig, Kernel, CONTEXT_BASE};
 use crate::cu::Cu;
 use crate::error::SimError;
@@ -85,8 +83,7 @@ pub(crate) enum Event {
 }
 
 impl Event {
-    /// Hot-profile lane index: the event's stable save tag, matching
-    /// [`crate::hotprof::LANE_NAMES`].
+    /// Hot-profile lane index, matching [`crate::hotprof::LANE_NAMES`].
     fn lane(&self) -> usize {
         match self {
             Event::Continue(..) => 0,
@@ -136,105 +133,6 @@ struct ChaosCounters {
     ctx_stall_hits: u64,
 }
 
-fn save_event(enc: &mut Enc, event: &Event) {
-    match *event {
-        Event::Continue(wg, token) => {
-            enc.u8(0);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::Response(wg, token) => {
-            enc.u8(1);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::WakeDeliver(wg, token) => {
-            enc.u8(2);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::WaitTimeout(wg, token) => {
-            enc.u8(3);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::SwapOutDone(wg, token) => {
-            enc.u8(4);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::SwapInDone(wg, token) => {
-            enc.u8(5);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::DispatchDone(wg, token) => {
-            enc.u8(6);
-            enc.u32(wg);
-            enc.u64(token);
-        }
-        Event::CpTick => enc.u8(7),
-        Event::ResourceLoss(cu) => {
-            enc.u8(8);
-            enc.usize(cu);
-        }
-        Event::ResourceRestore(cu) => {
-            enc.u8(9);
-            enc.usize(cu);
-        }
-        Event::ProgressCheck => enc.u8(10),
-        Event::Fault(i) => {
-            enc.u8(11);
-            enc.usize(i);
-        }
-    }
-}
-
-fn load_event(dec: &mut Dec<'_>) -> Result<Event, CodecError> {
-    Ok(match dec.u8()? {
-        0 => Event::Continue(dec.u32()?, dec.u64()?),
-        1 => Event::Response(dec.u32()?, dec.u64()?),
-        2 => Event::WakeDeliver(dec.u32()?, dec.u64()?),
-        3 => Event::WaitTimeout(dec.u32()?, dec.u64()?),
-        4 => Event::SwapOutDone(dec.u32()?, dec.u64()?),
-        5 => Event::SwapInDone(dec.u32()?, dec.u64()?),
-        6 => Event::DispatchDone(dec.u32()?, dec.u64()?),
-        7 => Event::CpTick,
-        8 => Event::ResourceLoss(dec.usize()?),
-        9 => Event::ResourceRestore(dec.usize()?),
-        10 => Event::ProgressCheck,
-        11 => Event::Fault(dec.usize()?),
-        t => return Err(CodecError::Invalid(format!("bad event tag {t}"))),
-    })
-}
-
-fn kind_index(kind: InvariantKind) -> u8 {
-    match kind {
-        InvariantKind::DuplicateRegistration => 0,
-        InvariantKind::StaleRegistration => 1,
-        InvariantKind::MonitorSupersetHole => 2,
-        InvariantKind::UnreachableWaiter => 3,
-        InvariantKind::MisdeliveredWake => 4,
-        InvariantKind::WgAccounting => 5,
-        InvariantKind::CuAccounting => 6,
-        InvariantKind::CuResidency => 7,
-    }
-}
-
-fn kind_from_index(idx: u8) -> Result<InvariantKind, CodecError> {
-    Ok(match idx {
-        0 => InvariantKind::DuplicateRegistration,
-        1 => InvariantKind::StaleRegistration,
-        2 => InvariantKind::MonitorSupersetHole,
-        3 => InvariantKind::UnreachableWaiter,
-        4 => InvariantKind::MisdeliveredWake,
-        5 => InvariantKind::WgAccounting,
-        6 => InvariantKind::CuAccounting,
-        7 => InvariantKind::CuResidency,
-        t => return Err(CodecError::Invalid(format!("bad invariant kind {t}"))),
-    })
-}
-
 /// The GPU simulator.
 pub struct Gpu {
     pub(crate) config: GpuConfig,
@@ -247,11 +145,11 @@ pub struct Gpu {
     pub(crate) policy: Box<dyn SchedPolicy>,
     stats: Stats,
     /// `wait_episode_cycles` in `stats`, resolved at the first wake
-    /// delivery; `load_state` replaces `stats` and clears it.
+    /// delivery.
     wait_episode_hist: Option<HistId>,
     /// The wake buffer the policy hooks append to and
     /// [`Gpu::apply_wakes`] drains; kept between calls for its capacity.
-    /// Always empty between events, so never serialized.
+    /// Always empty between events.
     wake_buf: Vec<Wake>,
     pub(crate) pending: VecDeque<WgId>,
     pub(crate) ready: VecDeque<WgId>,
@@ -261,11 +159,10 @@ pub struct Gpu {
     /// [`Gpu::set_wg_state`] so hot policy-context assembly (every store
     /// and atomic) reads a counter instead of scanning every WG; the
     /// invariant oracle cross-checks it against the per-WG ground truth.
-    /// Derived state: never serialized, rebuilt on restore.
     pub(crate) state_census: [usize; WgState::ALL.len()],
     /// The oracle's scratch buffers and the per-event check's shadow of
-    /// the machine. Host-only, like `hotprof`: never serialized, never
-    /// read by the simulation itself.
+    /// the machine. Host-only, like `hotprof`: never read by the simulation
+    /// itself.
     pub(crate) oracle: std::cell::RefCell<crate::oracle::OracleState>,
     last_progress: Cycle,
     resumes: u64,
@@ -288,19 +185,16 @@ pub struct Gpu {
     digest_trail: Vec<u64>,
     telemetry: Option<TelemetryHub>,
     /// Host hot-path profiler. Like the hub's `SelfProfile`, this is
-    /// host-only state: never serialized, never fed back into simulation.
+    /// host-only state, never fed back into simulation.
     hotprof: Option<Box<HotProfile>>,
     watchdog: Option<Watchdog>,
     run_started: Option<Instant>,
     run_wall: Duration,
     /// Whether [`Gpu::run`]'s one-time prologue (experiment events, CP tick,
-    /// progress check, first dispatch) has executed. Serialized: a restored
-    /// machine's calendar already contains those events.
+    /// progress check, first dispatch) has executed. A run stopped at the
+    /// cycle cap may be resumed by calling `run` again, and its calendar
+    /// already holds those events.
     started: bool,
-    checkpoint: Option<CheckpointSpec>,
-    checkpoint_next: Cycle,
-    checkpoints_written: u64,
-    checkpoint_error: Option<String>,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -409,373 +303,7 @@ impl Gpu {
             run_started: None,
             run_wall: Duration::ZERO,
             started: false,
-            checkpoint: None,
-            checkpoint_next: 0,
-            checkpoints_written: 0,
-            checkpoint_error: None,
         })
-    }
-
-    /// Arms cooperative checkpointing: at every multiple of `spec.every`
-    /// cycles the machine writes a whole-machine snapshot to `spec.path`
-    /// (atomically, via tmp + rename). Call *before*
-    /// [`restore`](crate::checkpoint::restore_into) when resuming — the
-    /// snapshot carries the boundary cursor and overwrites it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.every == 0`.
-    pub fn set_checkpoint(&mut self, spec: CheckpointSpec) -> &mut Self {
-        assert!(spec.every > 0, "checkpoint interval must be positive");
-        self.checkpoint_next = (self.now / spec.every + 1) * spec.every;
-        self.checkpoint = Some(spec);
-        self
-    }
-
-    /// Snapshots written by this process so far.
-    pub fn checkpoints_written(&self) -> u64 {
-        self.checkpoints_written
-    }
-
-    /// The first checkpoint-write failure, if one occurred (checkpointing
-    /// disarms itself after a failed write; the run itself continues).
-    pub fn checkpoint_error(&self) -> Option<&str> {
-        self.checkpoint_error.as_deref()
-    }
-
-    /// Schedules a CU unplug directly into the live event calendar — the
-    /// warm-started what-if query behind `--restore-drop-cu CU@CYCLE`.
-    /// Unlike [`Gpu::schedule_resource_loss`] this works on a restored
-    /// machine, whose one-time prologue (the only reader of the experiment
-    /// vectors) already ran in the original process.
-    pub fn inject_resource_loss(&mut self, cu: usize, at: Cycle) -> Result<&mut Self, SimError> {
-        if cu >= self.cus.len() {
-            return Err(SimError::Config(format!(
-                "cannot drop CU {cu}: machine has {} CUs",
-                self.cus.len()
-            )));
-        }
-        if at < self.now {
-            return Err(SimError::Config(format!(
-                "cannot drop CU {cu} at cycle {at}: machine is already at cycle {}",
-                self.now
-            )));
-        }
-        self.events.schedule(at, Event::ResourceLoss(cu));
-        Ok(self)
-    }
-
-    fn write_checkpoint_now(&mut self) {
-        let Some(spec) = self.checkpoint.as_ref() else {
-            return;
-        };
-        let path = spec.path.clone();
-        let identity = spec.identity;
-        let kill_after = spec.kill_after;
-        match crate::checkpoint::write_checkpoint(self, identity, &path) {
-            Ok(()) => {
-                self.checkpoints_written += 1;
-                if kill_after == Some(self.checkpoints_written) {
-                    // Deterministic SIGKILL model for the crash-resume
-                    // tests: die without unwinding the moment the Nth
-                    // snapshot hits disk.
-                    std::process::exit(137);
-                }
-            }
-            Err(err) => {
-                // A failing disk must not kill a healthy simulation:
-                // disarm checkpointing, remember why, keep running.
-                self.checkpoint_error = Some(format!(
-                    "checkpoint write to {} failed: {err}",
-                    path.display()
-                ));
-                self.checkpoint = None;
-            }
-        }
-    }
-
-    /// Serializes every piece of mutable machine state: clocks, memory
-    /// hierarchy, CUs, WGs, the event calendar (with FIFO sequence numbers
-    /// verbatim), scheduler-policy internals, stats, run queues, chaos
-    /// state, the invariant-violation log, and the digest trail.
-    /// Configuration (geometry, kernel, fault plan, instrumentation flags)
-    /// is identity, not state — [`Gpu::load_state`] overlays onto a
-    /// freshly-built machine with the same configuration.
-    pub(crate) fn save_state(&self, enc: &mut Enc) {
-        enc.bool(self.started);
-        enc.u64(self.now);
-        enc.usize(self.finished);
-        enc.u64(self.last_progress);
-        self.l2.save(enc);
-        enc.usize(self.cus.len());
-        for cu in &self.cus {
-            cu.save(enc);
-        }
-        enc.usize(self.wgs.len());
-        for wg in &self.wgs {
-            wg.save(enc);
-        }
-        let entries = self.events.snapshot();
-        enc.usize(entries.len());
-        for (cycle, seq, event) in &entries {
-            enc.u64(*cycle);
-            enc.u64(*seq);
-            save_event(enc, event);
-        }
-        enc.u64(self.events.scheduled_total());
-        enc.str(self.policy.name());
-        self.policy.save_state(enc);
-        self.stats.save(enc);
-        enc.usize(self.pending.len());
-        for &wg in &self.pending {
-            enc.u32(wg);
-        }
-        enc.usize(self.ready.len());
-        for &wg in &self.ready {
-            enc.u32(wg);
-        }
-        enc.u64(self.resumes);
-        enc.u64(self.unnecessary_resumes);
-        enc.u64(self.switches_out);
-        enc.u64(self.switches_in);
-        enc.usize(self.resource_loss.len());
-        for &(cu, at) in &self.resource_loss {
-            enc.usize(cu);
-            enc.u64(at);
-        }
-        enc.usize(self.resource_restore.len());
-        for &(cu, at) in &self.resource_restore {
-            enc.usize(cu);
-            enc.u64(at);
-        }
-        self.trace.save(enc);
-        enc.opt_u64(self.deadlocked);
-        match self.wake_chaos {
-            Some((mode, until)) => {
-                enc.bool(true);
-                match mode {
-                    WakeChaosMode::Drop => enc.u8(0),
-                    WakeChaosMode::Delay(extra) => {
-                        enc.u8(1);
-                        enc.u64(extra);
-                    }
-                    WakeChaosMode::Duplicate => enc.u8(2),
-                    WakeChaosMode::Reorder => enc.u8(3),
-                }
-                enc.u64(until);
-            }
-            None => enc.bool(false),
-        }
-        enc.u64(self.ctx_stall_until);
-        enc.u64(self.ctx_stall_extra);
-        enc.u64(self.chaos.cu_losses);
-        enc.u64(self.chaos.wake_windows);
-        enc.u64(self.chaos.wakes_dropped);
-        enc.u64(self.chaos.wakes_delayed);
-        enc.u64(self.chaos.wakes_duplicated);
-        enc.u64(self.chaos.wakes_reordered);
-        enc.u64(self.chaos.policy_injections);
-        enc.u64(self.chaos.ctx_stall_hits);
-        enc.usize(self.violations.len());
-        for v in &self.violations {
-            enc.u64(v.at);
-            enc.u8(kind_index(v.kind));
-            enc.str(&v.detail);
-        }
-        enc.u64(self.digest_next);
-        enc.usize(self.digest_trail.len());
-        for &d in &self.digest_trail {
-            enc.u64(d);
-        }
-        enc.u64(self.checkpoint_next);
-        match &self.telemetry {
-            Some(hub) => {
-                enc.bool(true);
-                hub.save(enc);
-            }
-            None => enc.bool(false),
-        }
-    }
-
-    /// Overlays state written by [`Gpu::save_state`] onto this machine,
-    /// which must have been built from the same configuration. Any
-    /// inconsistency — count mismatches, out-of-range indices, a policy
-    /// name that differs, telemetry presence that disagrees with the
-    /// instrumentation flags — fails closed.
-    pub(crate) fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.started = dec.bool()?;
-        self.now = dec.u64()?;
-        self.finished = dec.usize()?;
-        self.last_progress = dec.u64()?;
-        self.l2.load(dec)?;
-        let n_cus = dec.count(16)?;
-        if n_cus != self.cus.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot has {n_cus} CUs, machine has {}",
-                self.cus.len()
-            )));
-        }
-        for cu in &mut self.cus {
-            cu.load(dec)?;
-        }
-        let n_wgs = dec.count(16)?;
-        if n_wgs != self.wgs.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot has {n_wgs} WGs, machine has {}",
-                self.wgs.len()
-            )));
-        }
-        for wg in &mut self.wgs {
-            wg.load(dec)?;
-        }
-        // The census is derived state: rebuild it from the restored WGs.
-        self.state_census = [0; WgState::ALL.len()];
-        for wg in &self.wgs {
-            self.state_census[wg.state.census_index()] += 1;
-        }
-        // So is the oracle's shadow: the first event sweeps in full.
-        self.oracle.get_mut().shadow.reset();
-        let n_events = dec.count(10)?;
-        let mut entries = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            let cycle = dec.u64()?;
-            let seq = dec.u64()?;
-            let event = load_event(dec)?;
-            self.validate_event(&event)?;
-            entries.push((cycle, seq, event));
-        }
-        let next_seq = dec.u64()?;
-        self.events = EventQueue::restore(entries, next_seq);
-        let name = dec.str()?;
-        if name != self.policy.name() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot policy '{name}' != machine policy '{}'",
-                self.policy.name()
-            )));
-        }
-        self.policy.load_state(dec)?;
-        self.stats = Stats::load(dec)?;
-        self.wait_episode_hist = None;
-        let n_pending = dec.count(4)?;
-        self.pending.clear();
-        for _ in 0..n_pending {
-            self.pending.push_back(self.checked_wg(dec.u32()?)?);
-        }
-        let n_ready = dec.count(4)?;
-        self.ready.clear();
-        for _ in 0..n_ready {
-            self.ready.push_back(self.checked_wg(dec.u32()?)?);
-        }
-        self.resumes = dec.u64()?;
-        self.unnecessary_resumes = dec.u64()?;
-        self.switches_out = dec.u64()?;
-        self.switches_in = dec.u64()?;
-        let n_loss = dec.count(16)?;
-        self.resource_loss.clear();
-        for _ in 0..n_loss {
-            self.resource_loss.push((dec.usize()?, dec.u64()?));
-        }
-        let n_restore = dec.count(16)?;
-        self.resource_restore.clear();
-        for _ in 0..n_restore {
-            self.resource_restore.push((dec.usize()?, dec.u64()?));
-        }
-        self.trace.load(dec)?;
-        self.deadlocked = dec.opt_u64()?;
-        self.wake_chaos = if dec.bool()? {
-            let mode = match dec.u8()? {
-                0 => WakeChaosMode::Drop,
-                1 => WakeChaosMode::Delay(dec.u64()?),
-                2 => WakeChaosMode::Duplicate,
-                3 => WakeChaosMode::Reorder,
-                t => {
-                    return Err(CodecError::Invalid(format!("bad wake-chaos mode tag {t}")));
-                }
-            };
-            Some((mode, dec.u64()?))
-        } else {
-            None
-        };
-        self.ctx_stall_until = dec.u64()?;
-        self.ctx_stall_extra = dec.u64()?;
-        self.chaos.cu_losses = dec.u64()?;
-        self.chaos.wake_windows = dec.u64()?;
-        self.chaos.wakes_dropped = dec.u64()?;
-        self.chaos.wakes_delayed = dec.u64()?;
-        self.chaos.wakes_duplicated = dec.u64()?;
-        self.chaos.wakes_reordered = dec.u64()?;
-        self.chaos.policy_injections = dec.u64()?;
-        self.chaos.ctx_stall_hits = dec.u64()?;
-        let n_violations = dec.count(13)?;
-        self.violations.clear();
-        for _ in 0..n_violations {
-            let at = dec.u64()?;
-            let kind = kind_from_index(dec.u8()?)?;
-            let detail = dec.str()?.to_string();
-            self.violations
-                .push(InvariantViolation { at, kind, detail });
-        }
-        self.digest_next = dec.u64()?;
-        let n_digests = dec.count(8)?;
-        self.digest_trail.clear();
-        for _ in 0..n_digests {
-            self.digest_trail.push(dec.u64()?);
-        }
-        self.checkpoint_next = dec.u64()?;
-        let telemetry_present = dec.bool()?;
-        if telemetry_present != self.telemetry.is_some() {
-            return Err(CodecError::Invalid(
-                "snapshot telemetry presence disagrees with instrumentation flags".into(),
-            ));
-        }
-        if let Some(hub) = self.telemetry.as_mut() {
-            hub.load(dec)?;
-        }
-        Ok(())
-    }
-
-    fn checked_wg(&self, wg: WgId) -> Result<WgId, CodecError> {
-        if (wg as usize) < self.wgs.len() {
-            Ok(wg)
-        } else {
-            Err(CodecError::Invalid(format!(
-                "WG id {wg} out of range ({} WGs)",
-                self.wgs.len()
-            )))
-        }
-    }
-
-    fn validate_event(&self, event: &Event) -> Result<(), CodecError> {
-        match *event {
-            Event::Continue(wg, _)
-            | Event::Response(wg, _)
-            | Event::WakeDeliver(wg, _)
-            | Event::WaitTimeout(wg, _)
-            | Event::SwapOutDone(wg, _)
-            | Event::SwapInDone(wg, _)
-            | Event::DispatchDone(wg, _) => self.checked_wg(wg).map(|_| ()),
-            Event::ResourceLoss(cu) | Event::ResourceRestore(cu) => {
-                if cu < self.cus.len() {
-                    Ok(())
-                } else {
-                    Err(CodecError::Invalid(format!(
-                        "event CU {cu} out of range ({} CUs)",
-                        self.cus.len()
-                    )))
-                }
-            }
-            Event::Fault(i) => {
-                let n = self.fault_plan.as_ref().map_or(0, |p| p.events.len());
-                if i < n {
-                    Ok(())
-                } else {
-                    Err(CodecError::Invalid(format!(
-                        "fault event index {i} out of range (plan has {n})"
-                    )))
-                }
-            }
-            Event::CpTick | Event::ProgressCheck => Ok(()),
-        }
     }
 
     /// Installs a cooperative-cancellation watchdog. The event loop polls
@@ -854,15 +382,6 @@ impl Gpu {
     /// The per-window digest trail recorded so far.
     pub fn digest_trail(&self) -> &[u64] {
         &self.digest_trail
-    }
-
-    /// Calendar-queue observability: `(pending events, overflow-tier
-    /// events, free-list holes)`. Checkpoint tests use this to prove their
-    /// snapshots exercise the far-future overflow tier and a fragmented
-    /// arena, not just the near-future wheel.
-    pub fn calendar_stats(&self) -> (usize, usize, usize) {
-        let (_slots, holes) = self.events.arena_stats();
-        (self.events.len(), self.events.overflow_len(), holes)
     }
 
     /// Order-sensitive digest of the machine's architectural state: queues,
@@ -1050,8 +569,8 @@ impl Gpu {
     /// calendar depth high-water, per-event-type dispatch counts and
     /// wall-time, and wake/dispatch scan tallies.
     ///
-    /// Off by default and zero-cost when off. Host-only — never serialized
-    /// into checkpoints and never visible to the digest trail.
+    /// Off by default and zero-cost when off. Host-only — never visible to
+    /// the digest trail.
     pub fn enable_hot_profile(&mut self) -> &mut Self {
         self.hotprof = Some(Box::new(HotProfile {
             sched_base: self.events.scheduled_total(),
@@ -2277,9 +1796,9 @@ impl Gpu {
     /// Runs the kernel to completion, deadlock, or the cycle cap.
     pub fn run(&mut self) -> RunOutcome {
         self.run_started = Some(Instant::now());
-        // One-time prologue. A restored machine skips it: its calendar
-        // already carries the experiment events, CP tick, and progress
-        // check, and its WGs were dispatched in the original process.
+        // One-time prologue. A resumed run skips it: its calendar already
+        // carries the experiment events, CP tick, and progress check, and
+        // its WGs were dispatched by the first call.
         if !self.started {
             self.started = true;
             // Schedule experiment events.
@@ -2323,23 +1842,6 @@ impl Gpu {
                     summary: self.summarize(),
                     hang,
                 };
-            }
-            // Checkpoint poll: snapshot at each interval boundary the
-            // machine is about to cross, *before* popping the crossing
-            // event — the snapshot must keep it in the calendar. The
-            // cursor is advanced past the next event first so one gap
-            // yields one snapshot, and the serialized cursor resumes the
-            // same boundary grid after restore.
-            if self.checkpoint.is_some() {
-                if let Some(next_cycle) = self.events.peek_cycle() {
-                    if self.checkpoint_next <= next_cycle {
-                        let every = self.checkpoint.as_ref().map(|s| s.every).unwrap_or(1);
-                        while self.checkpoint_next <= next_cycle {
-                            self.checkpoint_next += every;
-                        }
-                        self.write_checkpoint_now();
-                    }
-                }
             }
             let Some((cycle, event)) = self.events.pop() else {
                 // No pending events with unfinished WGs: every WG waits on a

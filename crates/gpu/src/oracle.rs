@@ -27,9 +27,9 @@
 //! every CU's resident list and the policy's whole waiter registry, and
 //! walks the event calendar when some waiter has neither a registration
 //! nor a landed wake. With the oracle on, the machine runs it after the
-//! first event (of a new or restored machine), after the first event at or
-//! past every [`SWEEP_WINDOW`]-cycle boundary, and whenever [`Gpu::run`]
-//! returns. After every other event that is not quiet (below) it runs the
+//! first event, after the first event at or past every
+//! [`SWEEP_WINDOW`]-cycle boundary, and whenever [`Gpu::run`] returns.
+//! After every other event that is not quiet (below) it runs the
 //! per-event check instead, over the event's **touch set**: the event's own
 //! WG, every WG whose state the event set, every WG the policy woke, and,
 //! on events that called the policy, every WG whose registration vanished
@@ -175,7 +175,7 @@ impl OracleScratch {
 #[derive(Debug, Default)]
 pub(crate) struct OracleShadow {
     /// Whether the shadow mirrors the machine: false until the first full
-    /// sweep, and again after a restore.
+    /// sweep.
     primed: bool,
     /// The first event at or past this cycle runs the full sweep.
     next_sweep: Cycle,
@@ -252,11 +252,6 @@ impl OracleShadow {
     /// The registry reads made so far.
     pub(crate) fn registry_reads(&self) -> RegistryReads {
         self.reads
-    }
-
-    /// Forgets the machine: the next check is a full sweep.
-    pub(crate) fn reset(&mut self) {
-        self.primed = false;
     }
 
     /// Records a `WakeDeliver` or `WaitTimeout` scheduled for `wg` with
@@ -1302,7 +1297,6 @@ mod tests {
     };
     use crate::{GpuConfig, RunOutcome};
     use awg_isa::{Cond, Operand, ProgramBuilder, Reg, Special};
-    use awg_sim::{Dec, Enc};
 
     fn mini_gpu(num_wgs: u64) -> Gpu {
         let mut b = ProgramBuilder::new("oracle");
@@ -1528,41 +1522,6 @@ mod tests {
         forge_waiter(&mut gpu);
         assert_eq!(completion_cycle(gpu.run()), end);
         assert_eq!(forgery_reported_at(&gpu), end);
-    }
-
-    /// The state of `staggered_gpu` stopped before cycle 7,000.
-    fn mid_run_snapshot() -> Vec<u8> {
-        let mut gpu = staggered_gpu();
-        pause_before(&mut gpu, 7_000);
-        let mut enc = Enc::new();
-        gpu.save_state(&mut enc);
-        enc.into_bytes()
-    }
-
-    #[test]
-    fn restored_snapshot_sweeps_in_full_on_its_first_event() {
-        let snapshot = mid_run_snapshot();
-        let mut gpu = staggered_gpu();
-        gpu.load_state(&mut Dec::new(&snapshot)).unwrap();
-        forge_waiter(&mut gpu);
-        let first = gpu.events.peek_cycle().unwrap();
-        assert!(first < 2 * SWEEP_WINDOW);
-        completion_cycle(gpu.run());
-        assert_eq!(forgery_reported_at(&gpu), first);
-    }
-
-    #[test]
-    fn load_state_drops_the_shadow_of_a_machine_that_ran() {
-        let mut reference = staggered_gpu();
-        let end = completion_cycle(reference.run());
-        // This machine's shadow ends with every WG finished. Checked
-        // against the restored mid-run machine it would report a census,
-        // queue and homes mismatch at the first event.
-        let mut gpu = staggered_gpu();
-        completion_cycle(gpu.run());
-        gpu.load_state(&mut Dec::new(&mid_run_snapshot())).unwrap();
-        assert_eq!(completion_cycle(gpu.run()), end);
-        assert!(gpu.violations().is_empty(), "{:?}", gpu.violations());
     }
 
     /// Parks every failed waiting atomic behind a 1,000-cycle fallback

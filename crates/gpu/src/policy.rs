@@ -18,7 +18,7 @@
 //! `awg-core`); the machine only executes its directives.
 
 use awg_mem::{Addr, L2};
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{Cycle, Stats};
 
 use crate::wg::WgId;
 
@@ -345,9 +345,7 @@ pub trait SchedPolicy {
     ///
     /// * every hook that adds or removes a record of
     ///   [`Self::for_each_waiter`] passes the record's WG to
-    ///   [`PolicyCtx::journal_change`] in that call (`load_state`, which
-    ///   has no context, is exempt: a restore makes the oracle read the
-    ///   whole registry);
+    ///   [`PolicyCtx::journal_change`] in that call;
     /// * [`Self::for_each_record_of`] answers for any WG.
     ///
     /// Journaling a WG whose records did not change is harmless. The
@@ -369,20 +367,6 @@ pub trait SchedPolicy {
 
     /// Dump policy-internal measurements into the run statistics.
     fn report(&self, _stats: &mut Stats) {}
-
-    /// Serializes every piece of mutable policy state (SyncMon tables,
-    /// Bloom filters, predictors, counters) for whole-machine checkpoints.
-    /// Configuration knobs are identity, not state: [`Self::load_state`]
-    /// overlays onto a policy constructed with the same configuration.
-    /// The default covers stateless policies.
-    fn save_state(&self, _enc: &mut Enc) {}
-
-    /// Overlays state written by [`Self::save_state`] onto this policy.
-    /// A restored policy must behave *exactly* as the original would have —
-    /// deterministic resume depends on it.
-    fn load_state(&mut self, _dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        Ok(())
-    }
 }
 
 /// The paper's **Baseline**: software busy-waiting, no hardware support.
@@ -421,15 +405,6 @@ impl SchedPolicy for BusyWaitPolicy {
     fn report(&self, stats: &mut Stats) {
         let c = stats.counter("policy_sync_fails");
         stats.add(c, self.fails);
-    }
-
-    fn save_state(&self, enc: &mut Enc) {
-        enc.u64(self.fails);
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.fails = dec.u64()?;
-        Ok(())
     }
 }
 

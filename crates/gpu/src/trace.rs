@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::Cycle;
 
 use crate::wg::WgId;
 
@@ -206,83 +206,6 @@ impl Trace {
     /// Copies the retained records out, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.records.iter().copied().collect()
-    }
-
-    /// Serializes the retained records and eviction count for checkpoints.
-    /// The enabled flag and ring bound come from instrumentation flags, so
-    /// [`Trace::load`] overlays onto an identically-configured trace.
-    pub fn save(&self, enc: &mut Enc) {
-        enc.u64(self.dropped);
-        enc.usize(self.records.len());
-        for r in &self.records {
-            enc.u64(r.cycle);
-            enc.u32(r.wg);
-            match r.event {
-                TraceEvent::Dispatch { cu } => {
-                    enc.u8(0);
-                    enc.usize(cu);
-                }
-                TraceEvent::AtomicIssue { addr } => {
-                    enc.u8(1);
-                    enc.u64(addr);
-                }
-                TraceEvent::AtomicDone { addr } => {
-                    enc.u8(2);
-                    enc.u64(addr);
-                }
-                TraceEvent::SyncFail { addr, expected } => {
-                    enc.u8(3);
-                    enc.u64(addr);
-                    enc.i64(expected);
-                }
-                TraceEvent::Stall => enc.u8(4),
-                TraceEvent::Sleep { cycles } => {
-                    enc.u8(5);
-                    enc.u64(cycles);
-                }
-                TraceEvent::SwapOutStart => enc.u8(6),
-                TraceEvent::SwapOutDone => enc.u8(7),
-                TraceEvent::SwapInStart { cu } => {
-                    enc.u8(8);
-                    enc.usize(cu);
-                }
-                TraceEvent::Resume => enc.u8(9),
-                TraceEvent::Timeout => enc.u8(10),
-                TraceEvent::Finish => enc.u8(11),
-            }
-        }
-    }
-
-    /// Overlays records written by [`Trace::save`].
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.dropped = dec.u64()?;
-        let n = dec.count(13)?;
-        self.records.clear();
-        self.records.reserve(n);
-        for _ in 0..n {
-            let cycle = dec.u64()?;
-            let wg = dec.u32()?;
-            let event = match dec.u8()? {
-                0 => TraceEvent::Dispatch { cu: dec.usize()? },
-                1 => TraceEvent::AtomicIssue { addr: dec.u64()? },
-                2 => TraceEvent::AtomicDone { addr: dec.u64()? },
-                3 => TraceEvent::SyncFail {
-                    addr: dec.u64()?,
-                    expected: dec.i64()?,
-                },
-                4 => TraceEvent::Stall,
-                5 => TraceEvent::Sleep { cycles: dec.u64()? },
-                6 => TraceEvent::SwapOutStart,
-                7 => TraceEvent::SwapOutDone,
-                8 => TraceEvent::SwapInStart { cu: dec.usize()? },
-                9 => TraceEvent::Resume,
-                10 => TraceEvent::Timeout,
-                11 => TraceEvent::Finish,
-                t => return Err(CodecError::Invalid(format!("bad trace event tag {t}"))),
-            };
-            self.records.push_back(TraceRecord { cycle, wg, event });
-        }
-        Ok(())
     }
 }
 

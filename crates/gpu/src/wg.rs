@@ -1,8 +1,8 @@
 //! Work-group contexts and the WG state machine.
 
-use awg_isa::{RegFile, NUM_REGS};
+use awg_isa::RegFile;
 use awg_mem::Addr;
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::Cycle;
 
 use crate::policy::{SyncCond, WaitDirective};
 
@@ -38,7 +38,7 @@ pub enum WgState {
 }
 
 impl WgState {
-    /// All states, in their stable checkpoint-encoding order.
+    /// All states, in census order.
     pub const ALL: [WgState; 10] = [
         WgState::Pending,
         WgState::Dispatching,
@@ -52,13 +52,8 @@ impl WgState {
         WgState::Finished,
     ];
 
-    fn encode_index(self) -> u8 {
-        self.census_index() as u8
-    }
-
     /// This state's position in [`ALL`](Self::ALL) — the row index used by
-    /// the machine's struct-of-arrays state census and the checkpoint
-    /// encoding. A direct match, not a linear search: the census is
+    /// the machine's struct-of-arrays state census. A direct match, not a linear search: the census is
     /// updated on every WG transition, squarely on the wake/dispatch path.
     pub(crate) fn census_index(self) -> usize {
         match self {
@@ -252,150 +247,6 @@ impl Wg {
     pub fn running_cycles(&self, now: Cycle) -> u64 {
         let waiting = self.waiting_cycles + self.wait_since.map_or(0, |s| now.saturating_sub(s));
         self.lifetime(now).saturating_sub(waiting)
-    }
-
-    /// Serializes the WG's entire context — scheduling state, PC, registers,
-    /// parked responses, wait condition, and accounting — for whole-machine
-    /// checkpoints. The id is identity (the grid rebuilds it), not state.
-    pub fn save(&self, enc: &mut Enc) {
-        enc.u8(self.state.encode_index());
-        enc.opt_u64(self.cu.map(|c| c as u64));
-        enc.usize(self.pc);
-        for &w in self.regs.words() {
-            enc.i64(w);
-        }
-        enc.u64(self.token);
-        match self.parked {
-            None => enc.bool(false),
-            Some(p) => {
-                enc.bool(true);
-                match p.dst {
-                    None => enc.bool(false),
-                    Some(r) => {
-                        enc.bool(true);
-                        enc.u8(r.index() as u8);
-                    }
-                }
-                enc.i64(p.value);
-            }
-        }
-        match self.cond {
-            None => enc.bool(false),
-            Some(c) => {
-                enc.bool(true);
-                enc.u64(c.addr);
-                enc.i64(c.expected);
-            }
-        }
-        match self.pending_directive {
-            None => enc.bool(false),
-            Some(d) => {
-                enc.bool(true);
-                save_directive(enc, d);
-            }
-        }
-        enc.opt_u64(self.timeout_at);
-        enc.bool(self.woke);
-        enc.bool(self.force_out);
-        enc.opt_u64(self.dispatched_at);
-        enc.opt_u64(self.finished_at);
-        enc.opt_u64(self.wait_since);
-        enc.u64(self.waiting_cycles);
-        enc.u64(self.insts);
-        enc.u64(self.atomics);
-        enc.u32(self.switches_out);
-        enc.bool(self.wake_pending_check);
-        enc.opt_u64(self.last_atomic);
-        enc.u64(self.atomic_streak);
-        enc.bool(self.fault_evicted);
-    }
-
-    /// Overlays state written by [`Wg::save`] onto this WG (id untouched).
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let idx = dec.u8()? as usize;
-        self.state = *WgState::ALL
-            .get(idx)
-            .ok_or_else(|| CodecError::Invalid(format!("bad WG state index {idx}")))?;
-        self.cu = dec.opt_u64()?.map(|c| c as usize);
-        self.pc = dec.usize()?;
-        let mut words = [0i64; NUM_REGS];
-        for w in &mut words {
-            *w = dec.i64()?;
-        }
-        self.regs.load_words(words);
-        self.token = dec.u64()?;
-        self.parked = if dec.bool()? {
-            let dst = if dec.bool()? {
-                let r = dec.u8()?;
-                if (r as usize) >= NUM_REGS {
-                    return Err(CodecError::Invalid(format!("bad register index {r}")));
-                }
-                Some(awg_isa::Reg::new(r))
-            } else {
-                None
-            };
-            Some(ParkedResponse {
-                dst,
-                value: dec.i64()?,
-            })
-        } else {
-            None
-        };
-        self.cond = if dec.bool()? {
-            Some(SyncCond {
-                addr: dec.u64()?,
-                expected: dec.i64()?,
-            })
-        } else {
-            None
-        };
-        self.pending_directive = if dec.bool()? {
-            Some(load_directive(dec)?)
-        } else {
-            None
-        };
-        self.timeout_at = dec.opt_u64()?;
-        self.woke = dec.bool()?;
-        self.force_out = dec.bool()?;
-        self.dispatched_at = dec.opt_u64()?;
-        self.finished_at = dec.opt_u64()?;
-        self.wait_since = dec.opt_u64()?;
-        self.waiting_cycles = dec.u64()?;
-        self.insts = dec.u64()?;
-        self.atomics = dec.u64()?;
-        self.switches_out = dec.u32()?;
-        self.wake_pending_check = dec.bool()?;
-        self.last_atomic = dec.opt_u64()?;
-        self.atomic_streak = dec.u64()?;
-        self.fault_evicted = dec.bool()?;
-        Ok(())
-    }
-}
-
-fn save_directive(enc: &mut Enc, d: WaitDirective) {
-    match d {
-        WaitDirective::Retry => enc.u8(0),
-        WaitDirective::SleepFor(c) => {
-            enc.u8(1);
-            enc.u64(c);
-        }
-        WaitDirective::Wait { release, timeout } => {
-            enc.u8(2);
-            enc.bool(release);
-            enc.opt_u64(timeout);
-        }
-    }
-}
-
-fn load_directive(dec: &mut Dec<'_>) -> Result<WaitDirective, CodecError> {
-    match dec.u8()? {
-        0 => Ok(WaitDirective::Retry),
-        1 => Ok(WaitDirective::SleepFor(dec.u64()?)),
-        2 => Ok(WaitDirective::Wait {
-            release: dec.bool()?,
-            timeout: dec.opt_u64()?,
-        }),
-        t => Err(CodecError::Invalid(format!("bad wait directive tag {t}"))),
     }
 }
 

@@ -26,14 +26,9 @@ pub const EXIT_INVARIANT: u8 = 4;
 pub const EXIT_PLAN: u8 = 5;
 
 /// Partial completion: the campaign finished, but at least one job
-/// exhausted its retry budget (timeout or panic) and its rows are ERROR
-/// markers rather than measurements.
+/// panicked or timed out and its rows are ERROR markers rather than
+/// measurements.
 pub const EXIT_PARTIAL: u8 = 6;
-
-/// A machine snapshot failed validation on restore (truncated, bit-flipped,
-/// stale format version, or from a different run configuration). Restore
-/// fails closed: no partially-overlaid machine is ever run.
-pub const EXIT_CORRUPT: u8 = 7;
 
 /// The conformance matrix regressed: the observed policy × progress-model
 /// classification differs from the committed expected matrix
@@ -46,10 +41,6 @@ pub const EXIT_CONFORMANCE: u8 = 8;
 /// (`bench --compare <BENCH_*.json>`). Re-bless deliberate slowdowns by
 /// committing a fresh snapshot.
 pub const EXIT_REGRESSION: u8 = 9;
-
-/// The campaign was interrupted (SIGINT/SIGTERM); the journal was flushed
-/// and a resume command printed. 128 + SIGINT(2), the shell convention.
-pub const EXIT_INTERRUPTED: u8 = 130;
 
 /// The full exit-code table: `(code, meaning)`, ascending.
 pub const EXIT_TABLE: &[(u8, &str)] = &[
@@ -64,11 +55,7 @@ pub const EXIT_TABLE: &[(u8, &str)] = &[
     (EXIT_PLAN, "fault plan parse error"),
     (
         EXIT_PARTIAL,
-        "partial completion (some jobs exhausted retries; rows marked ERROR)",
-    ),
-    (
-        EXIT_CORRUPT,
-        "corrupt machine snapshot (restore refused; no state was overlaid)",
+        "partial completion (some jobs panicked or timed out; rows marked ERROR)",
     ),
     (
         EXIT_CONFORMANCE,
@@ -77,10 +64,6 @@ pub const EXIT_TABLE: &[(u8, &str)] = &[
     (
         EXIT_REGRESSION,
         "perf regression (bench aggregate fell below the baseline snapshot by more than --max-regress)",
-    ),
-    (
-        EXIT_INTERRUPTED,
-        "interrupted (SIGINT/SIGTERM); journal flushed, resume command printed",
     ),
 ];
 
@@ -110,13 +93,33 @@ mod tests {
                 EXIT_INVARIANT,
                 EXIT_PLAN,
                 EXIT_PARTIAL,
-                EXIT_CORRUPT,
                 EXIT_CONFORMANCE,
-                EXIT_REGRESSION,
-                EXIT_INTERRUPTED
+                EXIT_REGRESSION
             ]
         );
         assert!(codes.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn readme_table_lists_exactly_the_exit_table_codes() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+        let readme = std::fs::read_to_string(&path).expect("README.md at the repository root");
+        let table = readme
+            .split("| code | meaning |")
+            .nth(1)
+            .expect("README has an exit-code table");
+        let codes: Vec<u8> = table
+            .lines()
+            .skip(2) // the rest of the header line, then the alignment row
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| {
+                let code = line.split('|').nth(1).unwrap_or("").trim();
+                code.parse()
+                    .unwrap_or_else(|_| panic!("README row without a numeric code: {line}"))
+            })
+            .collect();
+        let expected: Vec<u8> = EXIT_TABLE.iter().map(|&(c, _)| c).collect();
+        assert_eq!(codes, expected, "README's exit-code table and EXIT_TABLE");
     }
 
     #[test]

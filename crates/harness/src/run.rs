@@ -1,9 +1,9 @@
 //! The experiment runner: one benchmark × one policy × one scenario.
 
 use awg_core::policies::{build_policy, PolicyKind};
-use awg_gpu::{CancelCause, FaultPlan, Gpu, HotReport, InvariantViolation, RunOutcome, Watchdog};
+use awg_gpu::{FaultPlan, Gpu, HotReport, InvariantViolation, RunOutcome, Watchdog};
 use awg_sim::{Cycle, MetricSnapshot, ProfileReport, TelemetryConfig, ATTRIBUTION_CAUSES};
-use awg_workloads::{BenchmarkKind, BuiltWorkload};
+use awg_workloads::BenchmarkKind;
 
 use crate::scale::Scale;
 
@@ -164,11 +164,6 @@ impl ExpResult {
         self.outcome.is_completed() && self.validated.is_ok()
     }
 
-    /// The cancellation point and cause, if a watchdog cancelled the run.
-    pub fn cancelled(&self) -> Option<(Cycle, CancelCause)> {
-        self.outcome.cancelled()
-    }
-
     /// Column sums of the attribution ledger: total cycles spent in each
     /// [`AttributionCause`](awg_sim::AttributionCause) across all WGs.
     pub fn attribution_totals(&self) -> [Cycle; ATTRIBUTION_CAUSES] {
@@ -247,7 +242,7 @@ pub fn run_instrumented(
 
 /// The fully-general runner: scenario, optional fault plan, self-checking
 /// instrumentation, and an optional cooperative-cancellation watchdog (the
-/// supervisor arms one per job attempt).
+/// supervisor arms one per job).
 #[allow(clippy::too_many_arguments)]
 pub fn run_watched(
     kind: BenchmarkKind,
@@ -259,30 +254,10 @@ pub fn run_watched(
     instr: Instrumentation,
     watchdog: Option<Watchdog>,
 ) -> ExpResult {
-    let (built, mut gpu) = prepare_machine(kind, policy_box, scale, config, plan, instr, watchdog);
-    let outcome = gpu.run();
-    collect_result(kind, label, &built, &gpu, outcome)
-}
-
-/// Builds the benchmark and a fully-configured machine for it — scenario,
-/// fault plan, instrumentation, and watchdog installed but not yet run.
-/// [`run_watched`] drives this machine to completion directly; the
-/// checkpointing entry points overlay a snapshot onto it first.
-#[allow(clippy::too_many_arguments)]
-pub fn prepare_machine(
-    kind: BenchmarkKind,
-    policy_box: Box<dyn awg_gpu::SchedPolicy>,
-    scale: &Scale,
-    config: ExperimentConfig,
-    plan: Option<FaultPlan>,
-    instr: Instrumentation,
-    watchdog: Option<Watchdog>,
-) -> (BuiltWorkload, Gpu) {
     let mut params = scale.params;
     params.iterations = params.iterations.saturating_mul(kind.episode_weight());
     let built = kind.build(&params, policy_box.style());
-    let kernel = built.kernel();
-    let mut gpu = Gpu::new(scale.gpu.clone(), kernel, policy_box);
+    let mut gpu = Gpu::new(scale.gpu.clone(), built.kernel(), policy_box);
     if config == ExperimentConfig::Oversubscribed {
         gpu.schedule_resource_loss(scale.lost_cu, scale.resource_loss_at);
     }
@@ -304,18 +279,8 @@ pub fn prepare_machine(
     if let Some(watchdog) = watchdog {
         gpu.set_watchdog(watchdog);
     }
-    (built, gpu)
-}
+    let outcome = gpu.run();
 
-/// Packages a finished machine into an [`ExpResult`] — the common epilogue
-/// of [`run_watched`] and the checkpoint/restore entry points.
-pub fn collect_result(
-    kind: BenchmarkKind,
-    label: PolicyKind,
-    built: &BuiltWorkload,
-    gpu: &Gpu,
-    outcome: RunOutcome,
-) -> ExpResult {
     let validated = built.validate(gpu.backing());
     let wg_breakdown = gpu.wg_breakdown();
     let attribution = gpu

@@ -110,17 +110,6 @@ impl RegFile {
     pub fn set(&mut self, r: Reg, value: i64) {
         self.regs[r.index()] = value;
     }
-
-    /// All register values, in index order (checkpoint export).
-    pub fn words(&self) -> &[i64; NUM_REGS] {
-        &self.regs
-    }
-
-    /// Overwrites the whole file from [`RegFile::words`] (checkpoint
-    /// import).
-    pub fn load_words(&mut self, words: [i64; NUM_REGS]) {
-        self.regs = words;
-    }
 }
 
 impl Default for RegFile {

@@ -4,7 +4,7 @@
 //! memory that has ever been written. Timing is handled elsewhere; this is
 //! purely the "what value lives at this address" half of the memory system.
 
-use awg_sim::{CodecError, Dec, Enc, FastMap};
+use awg_sim::FastMap;
 
 use crate::addr::{Addr, WORD_BYTES};
 
@@ -60,11 +60,6 @@ impl Backing {
     /// Creates empty (all-zero) memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    fn word_addr(addr: Addr) -> Addr {
-        addr & !(WORD_BYTES - 1)
     }
 
     /// `(page number, word index in the page)` of `addr`.
@@ -174,54 +169,6 @@ impl Backing {
             })
         })
     }
-
-    /// Serializes the full functional memory image. Words are written in
-    /// ascending address order so identical memories always produce
-    /// byte-identical encodings regardless of how they were written.
-    pub fn save_image(&self, enc: &mut Enc) {
-        enc.u64(self.writes);
-        enc.usize(self.nonzero);
-        for (a, v) in self.nonzero_words() {
-            enc.u64(a);
-            enc.i64(v);
-        }
-    }
-
-    /// Replaces this memory's contents with state written by
-    /// [`Backing::save_image`]. Rejects zero-valued or unaligned words and
-    /// addresses that are not strictly ascending — the store path never
-    /// produces a zero word and `save_image` writes each word once, in
-    /// order, so any of these means corruption.
-    pub fn load_image(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let writes = dec.u64()?;
-        let n = dec.count(16)?;
-        let mut image = Backing::new();
-        let mut last = None;
-        for _ in 0..n {
-            let a = dec.u64()?;
-            let v = dec.i64()?;
-            if v == 0 {
-                return Err(CodecError::Invalid(format!(
-                    "zero word at {a:#x} in backing snapshot"
-                )));
-            }
-            if a != Self::word_addr(a) {
-                return Err(CodecError::Invalid(format!(
-                    "unaligned word address {a:#x} in backing snapshot"
-                )));
-            }
-            if last.is_some_and(|l| a <= l) {
-                return Err(CodecError::Invalid(format!(
-                    "word address {a:#x} repeats or is out of order in backing snapshot"
-                )));
-            }
-            last = Some(a);
-            image.store(a, v);
-        }
-        image.writes = writes;
-        *self = image;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -294,66 +241,6 @@ mod tests {
         assert_eq!(mem.resident_words(), 6);
     }
 
-    /// A hand-built image: `writes`, then `(addr, value)` words as given.
-    fn image(words: &[(u64, i64)]) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u64(9);
-        enc.usize(words.len());
-        for &(a, v) in words {
-            enc.u64(a);
-            enc.i64(v);
-        }
-        enc.into_bytes()
-    }
-
-    #[test]
-    fn load_image_rejects_a_repeated_word() {
-        let bytes = image(&[(8, 1), (64, 2), (64, 3)]);
-        let err = Backing::new()
-            .load_image(&mut Dec::new(&bytes))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("repeats or is out of order"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn load_image_rejects_words_out_of_order() {
-        let bytes = image(&[(64, 2), (8, 1)]);
-        let err = Backing::new()
-            .load_image(&mut Dec::new(&bytes))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("repeats or is out of order"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn load_image_rejects_zero_and_unaligned_words() {
-        for words in [[(8, 1), (16, 0)], [(8, 1), (17, 4)]] {
-            assert!(Backing::new()
-                .load_image(&mut Dec::new(&image(&words)))
-                .is_err());
-        }
-    }
-
-    /// The image [`Backing::save_image`] must write for `words` after
-    /// `writes` stores.
-    fn reference_image(writes: u64, words: &FastMap<Addr, i64>) -> Vec<u8> {
-        let mut sorted: Vec<(Addr, i64)> = words.iter().map(|(&a, &v)| (a, v)).collect();
-        sorted.sort_unstable();
-        let mut enc = Enc::new();
-        enc.u64(writes);
-        enc.usize(sorted.len());
-        for (a, v) in sorted {
-            enc.u64(a);
-            enc.i64(v);
-        }
-        enc.into_bytes()
-    }
-
     /// Addresses in the first pages, any byte offset; in far-apart pages;
     /// and at the top of the address space.
     fn address() -> impl Strategy<Value = Addr> {
@@ -415,22 +302,6 @@ mod tests {
             let got: Vec<(Addr, i64)> = mem.nonzero_words().collect();
             prop_assert_eq!(&got, &want, "non-zero words, ascending");
 
-            let mut enc = Enc::new();
-            mem.save_image(&mut enc);
-            let bytes = enc.into_bytes();
-            prop_assert_eq!(&bytes, &reference_image(writes, &words));
-
-            let mut restored = Backing::new();
-            restored.store(12_345 << 12, 9);
-            let mut dec = Dec::new(&bytes);
-            restored.load_image(&mut dec).unwrap();
-            dec.finish().unwrap();
-            prop_assert_eq!(restored.nonzero_words().collect::<Vec<_>>(), want);
-            prop_assert_eq!(restored.resident_words(), words.len());
-            prop_assert_eq!(restored.write_version(), writes);
-            for &(_, addr, _) in &ops {
-                prop_assert_eq!(restored.load(addr), mem.load(addr));
-            }
         }
     }
 }

@@ -4,8 +4,6 @@
 //! carry the two bits AWG adds (§V.B): a **monitored** bit marking lines the
 //! SyncMon watches, and a **pinned** bit so monitored lines "are not evicted".
 
-use awg_sim::{CodecError, Dec, Enc};
-
 use crate::addr::Addr;
 
 /// Geometry and latency of a cache.
@@ -43,26 +41,6 @@ impl CacheConfig {
         }
     }
 
-    /// Paper Table 1: 16 KB scalar cache, 8-way, 4 cycles (1 per 4 CUs).
-    pub fn scalar_isca2020() -> Self {
-        CacheConfig {
-            sets: 16 * 1024 / (8 * 64),
-            ways: 8,
-            line_bytes: 64,
-            latency: 4,
-        }
-    }
-
-    /// Paper Table 1: 32 KB instruction cache, 8-way, 4 cycles (1 per 4 CUs).
-    pub fn icache_isca2020() -> Self {
-        CacheConfig {
-            sets: 32 * 1024 / (8 * 64),
-            ways: 8,
-            line_bytes: 64,
-            latency: 4,
-        }
-    }
-
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.sets as u64 * self.ways as u64 * self.line_bytes
@@ -89,6 +67,21 @@ impl AccessOutcome {
     pub fn is_hit(&self) -> bool {
         matches!(self, AccessOutcome::Hit)
     }
+}
+
+/// One way of a [`Cache`]'s tag array, as [`Cache::ways`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Way {
+    /// The resident line's tag (0 for an invalid way).
+    pub tag: u64,
+    /// Whether the way holds a line.
+    pub valid: bool,
+    /// The SyncMon watches the line.
+    pub monitored: bool,
+    /// The line may not be chosen as a victim.
+    pub pinned: bool,
+    /// The access tick of the way's last use, which sets the LRU order.
+    pub last_use: u64,
 }
 
 /// Tag-array flag bit: the SyncMon watches this line.
@@ -133,8 +126,7 @@ pub struct Cache {
     bypasses: u64,
     /// Valid lines with the monitored bit set, kept at every flip.
     monitored: usize,
-    /// The most `monitored` has been since construction or the last
-    /// [`Cache::load`].
+    /// The most `monitored` has been since construction.
     monitored_peak: usize,
     /// Moves whenever some line's monitored bit may have flipped.
     monitored_version: u64,
@@ -342,15 +334,13 @@ impl Cache {
         self.monitored
     }
 
-    /// The most lines that were monitored at once since construction or
-    /// the last [`Cache::load`].
+    /// The most lines that were monitored at once since construction.
     pub fn monitored_peak(&self) -> usize {
         self.monitored_peak
     }
 
     /// A counter that moves whenever a monitored bit may have flipped: a
-    /// set or clear that changes a bit, a [`Cache::flush`], a
-    /// [`Cache::load`]. An idempotent set or clear leaves it alone, and no
+    /// set or clear that changes a bit, or a [`Cache::flush`]. An idempotent set or clear leaves it alone, and no
     /// miss evicts a monitored line (it is pinned), so while the counter
     /// holds still [`Cache::is_monitored`] answers as before for every
     /// address.
@@ -363,6 +353,18 @@ impl Cache {
         (self.hits, self.misses, self.bypasses)
     }
 
+    /// The whole tag array, way by way in set order: every bit of
+    /// replacement state, for comparing a cache with a reference model.
+    pub fn ways(&self) -> impl Iterator<Item = Way> + '_ {
+        (0..self.tags.len()).map(|w| Way {
+            tag: self.tags[w].saturating_sub(1),
+            valid: self.tags[w] != 0,
+            monitored: self.flags[w] & MONITORED != 0,
+            pinned: self.flags[w] & PINNED != 0,
+            last_use: self.stamps[w],
+        })
+    }
+
     /// Invalidates every line (keeps statistics and the monitored peak).
     pub fn flush(&mut self) {
         self.tags.fill(0);
@@ -370,83 +372,6 @@ impl Cache {
         self.flags.fill(0);
         self.monitored = 0;
         self.monitored_version += 1;
-    }
-
-    /// Serializes the mutable tag-array state (lines, LRU tick, counters).
-    /// Geometry is identity, not state: [`Cache::load`] overlays onto a cache
-    /// built from the same [`CacheConfig`].
-    ///
-    /// Each way is written as `(tag, valid, monitored, pinned, last_use)`,
-    /// an invalid way with tag 0.
-    pub fn save(&self, enc: &mut Enc) {
-        enc.u64(self.tick);
-        enc.u64(self.hits);
-        enc.u64(self.misses);
-        enc.u64(self.bypasses);
-        enc.usize(self.tags.len());
-        for w in 0..self.tags.len() {
-            enc.u64(self.tags[w].saturating_sub(1));
-            enc.bool(self.tags[w] != 0);
-            enc.bool(self.flags[w] & MONITORED != 0);
-            enc.bool(self.flags[w] & PINNED != 0);
-            enc.u64(self.stamps[w]);
-        }
-    }
-
-    /// Overlays state written by [`Cache::save`] onto this cache. Fails if
-    /// the saved geometry (line count) does not match this cache's, or on a
-    /// way [`Cache::save`] never writes: an invalid way with a non-zero
-    /// tag, a tag no address of this geometry has, or a tag resident twice
-    /// in one set.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.tick = dec.u64()?;
-        self.hits = dec.u64()?;
-        self.misses = dec.u64()?;
-        self.bypasses = dec.u64()?;
-        let n = dec.count(11)?;
-        if n != self.tags.len() {
-            return Err(CodecError::Invalid(format!(
-                "cache geometry mismatch: snapshot has {n} lines, config has {}",
-                self.tags.len()
-            )));
-        }
-        let max_tag = u64::MAX >> (self.line_shift + self.set_shift);
-        for w in 0..n {
-            let tag = dec.u64()?;
-            let valid = dec.bool()?;
-            let monitored = dec.bool()?;
-            let pinned = dec.bool()?;
-            self.stamps[w] = dec.u64()?;
-            if !valid && tag != 0 {
-                return Err(CodecError::Invalid(format!(
-                    "invalid cache way {w} carries tag {tag:#x}"
-                )));
-            }
-            if tag > max_tag {
-                return Err(CodecError::Invalid(format!(
-                    "cache way {w} tag {tag:#x} exceeds the geometry's {max_tag:#x}"
-                )));
-            }
-            self.tags[w] = if valid { tag + 1 } else { 0 };
-            self.flags[w] = if monitored { MONITORED } else { 0 } | if pinned { PINNED } else { 0 };
-        }
-        for set in self.tags.chunks(self.config.ways) {
-            for (i, &t) in set.iter().enumerate() {
-                if t != 0 && set[..i].contains(&t) {
-                    return Err(CodecError::Invalid(format!(
-                        "cache tag {:#x} resident twice in one set",
-                        t - 1
-                    )));
-                }
-            }
-        }
-        // The count is derived from the lines; the peak restarts from it.
-        self.monitored = (0..n)
-            .filter(|&w| self.tags[w] != 0 && self.flags[w] & MONITORED != 0)
-            .count();
-        self.monitored_peak = self.monitored;
-        self.monitored_version += 1;
-        Ok(())
     }
 }
 
@@ -541,8 +466,6 @@ mod tests {
     fn table1_geometries() {
         assert_eq!(CacheConfig::l1_isca2020().capacity_bytes(), 32 * 1024);
         assert_eq!(CacheConfig::l2_isca2020().capacity_bytes(), 512 * 1024);
-        assert_eq!(CacheConfig::scalar_isca2020().capacity_bytes(), 16 * 1024);
-        assert_eq!(CacheConfig::icache_isca2020().capacity_bytes(), 32 * 1024);
         assert_eq!(CacheConfig::l2_isca2020().latency, 50);
         assert_eq!(CacheConfig::l1_isca2020().latency, 30);
     }
@@ -617,44 +540,5 @@ mod tests {
             let below = top - (sets as u64 * line_bytes);
             assert_eq!(c.access(below), AccessOutcome::Miss { evicted: Some(top) });
         }
-    }
-
-    fn saved(c: &Cache) -> Vec<u8> {
-        let mut enc = Enc::new();
-        c.save(&mut enc);
-        enc.into_bytes()
-    }
-
-    /// Offset of way `w`'s record (tag, three flags, stamp: 19 bytes) in
-    /// a [`Cache::save`] image, after four counters and the way count.
-    fn way_at(w: usize) -> usize {
-        4 * 8 + 8 + w * 19
-    }
-
-    #[test]
-    fn load_rejects_ways_save_never_writes() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(128);
-        let good = saved(&c);
-        assert!(tiny().load(&mut Dec::new(&good)).is_ok());
-
-        // An invalid way (way 2 is empty) that carries a tag.
-        let mut bad = good.clone();
-        bad[way_at(2)] = 1;
-        let err = tiny().load(&mut Dec::new(&bad)).unwrap_err();
-        assert!(err.to_string().contains("carries tag"), "{err}");
-
-        // A tag beyond what any address of the geometry maps to.
-        let mut bad = good.clone();
-        bad[way_at(0)..way_at(0) + 8].copy_from_slice(&(u64::MAX >> 6).to_le_bytes());
-        let err = tiny().load(&mut Dec::new(&bad)).unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "{err}");
-
-        // Both ways of set 0 holding the same tag.
-        let mut bad = good.clone();
-        bad[way_at(1)..way_at(1) + 8].copy_from_slice(&good[way_at(0)..way_at(0) + 8]);
-        let err = tiny().load(&mut Dec::new(&bad)).unwrap_err();
-        assert!(err.to_string().contains("twice"), "{err}");
     }
 }

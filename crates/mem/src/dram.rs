@@ -5,7 +5,7 @@
 //! 64 B line per `service_interval` core cycles, so bursts of misses and
 //! context-switch traffic queue up realistically.
 
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::Cycle;
 
 use crate::addr::{Addr, LINE_BYTES};
 
@@ -44,7 +44,7 @@ impl DramConfig {
 /// let done = dram.access(0, 0);
 /// assert_eq!(done, 100); // idle latency
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dram {
     config: DramConfig,
     channel_free: Vec<Cycle>,
@@ -124,35 +124,6 @@ impl Dram {
     /// `(total accesses, total cycles spent queued)`.
     pub fn stats(&self) -> (u64, u64) {
         (self.accesses, self.total_queue_cycles)
-    }
-
-    /// Serializes the mutable channel state and counters. The configuration
-    /// is identity: [`Dram::load`] overlays onto a same-config instance.
-    pub fn save(&self, enc: &mut Enc) {
-        enc.usize(self.channel_free.len());
-        for &c in &self.channel_free {
-            enc.u64(c);
-        }
-        enc.u64(self.accesses);
-        enc.u64(self.total_queue_cycles);
-    }
-
-    /// Overlays state written by [`Dram::save`]. Fails on a channel-count
-    /// mismatch.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let n = dec.count(8)?;
-        if n != self.channel_free.len() {
-            return Err(CodecError::Invalid(format!(
-                "dram channel mismatch: snapshot has {n}, config has {}",
-                self.channel_free.len()
-            )));
-        }
-        for c in &mut self.channel_free {
-            *c = dec.u64()?;
-        }
-        self.accesses = dec.u64()?;
-        self.total_queue_cycles = dec.u64()?;
-        Ok(())
     }
 }
 

@@ -12,7 +12,7 @@
 //! pinned (never evicted) and any atomic touching one reports
 //! `was_monitored = true` so the SyncMon can run its condition checks.
 
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::Cycle;
 
 use crate::addr::{line_of, Addr};
 use crate::atomic::{self, AtomicRequest, AtomicResult};
@@ -240,16 +240,14 @@ impl L2 {
         self.cache.monitored_lines()
     }
 
-    /// The most lines that were monitored at once since construction or
-    /// the last [`L2::load`].
+    /// The most lines that were monitored at once since construction.
     pub fn monitored_peak(&self) -> usize {
         self.cache.monitored_peak()
     }
 
-    /// A counter that moves only when some line's monitored bit flips (or
-    /// the tags are replaced by [`L2::load`]). While it holds still,
-    /// [`L2::is_monitored`] answers as before for every address, so a
-    /// reader may cache its answers against it.
+    /// A counter that moves only when some line's monitored bit flips.
+    /// While it holds still, [`L2::is_monitored`] answers as before for
+    /// every address, so a reader may cache its answers against it.
     pub fn monitored_version(&self) -> u64 {
         self.cache.monitored_version()
     }
@@ -279,48 +277,14 @@ impl L2 {
         self.cache.stats()
     }
 
+    /// The tag array, with its monitored and pinned bits.
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
     /// DRAM statistics `(accesses, queued_cycles)`.
     pub fn dram_stats(&self) -> (u64, u64) {
         self.dram.stats()
-    }
-
-    /// Serializes the whole memory-system state: tag array (with monitored
-    /// and pinned bits), bank occupancy, DRAM channel state, the functional
-    /// value store, and operation counters. Configuration is identity —
-    /// [`L2::load`] overlays onto a same-config instance.
-    pub fn save(&self, enc: &mut Enc) {
-        self.cache.save(enc);
-        enc.usize(self.bank_free.len());
-        for &b in &self.bank_free {
-            enc.u64(b);
-        }
-        self.dram.save(enc);
-        self.backing.save_image(enc);
-        enc.u64(self.atomics);
-        enc.u64(self.reads);
-        enc.u64(self.writes);
-    }
-
-    /// Overlays state written by [`L2::save`]. Fails on any geometry
-    /// mismatch between the snapshot and this instance's configuration.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.cache.load(dec)?;
-        let n = dec.count(8)?;
-        if n != self.bank_free.len() {
-            return Err(CodecError::Invalid(format!(
-                "l2 bank mismatch: snapshot has {n}, config has {}",
-                self.bank_free.len()
-            )));
-        }
-        for b in &mut self.bank_free {
-            *b = dec.u64()?;
-        }
-        self.dram.load(dec)?;
-        self.backing.load_image(dec)?;
-        self.atomics = dec.u64()?;
-        self.reads = dec.u64()?;
-        self.writes = dec.u64()?;
-        Ok(())
     }
 }
 
@@ -457,84 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_mid_run_state() {
-        let mut l2 = L2::new(L2Config::isca2020());
-        l2.write(0, 64, 7);
-        l2.set_monitored(64);
-        l2.atomic(100, add1(64));
-        l2.atomic(100, add1(128));
-        l2.read(500, 192);
-        l2.context_burst(600, 1 << 20, 16);
-
-        let mut enc = Enc::new();
-        l2.save(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut restored = L2::new(L2Config::isca2020());
-        let mut dec = Dec::new(&bytes);
-        restored.load(&mut dec).unwrap();
-        dec.finish().unwrap();
-
-        assert_eq!(restored.op_counts(), l2.op_counts());
-        assert_eq!(restored.cache_stats(), l2.cache_stats());
-        assert_eq!(restored.dram_stats(), l2.dram_stats());
-        assert_eq!(restored.monitored_lines(), l2.monitored_lines());
-        assert!(restored.is_monitored(64));
-        assert_eq!(restored.peek(64), l2.peek(64));
-        assert_eq!(
-            restored.backing().write_version(),
-            l2.backing().write_version()
-        );
-
-        // Re-encoding the restored machine is a fixed point.
-        let mut enc2 = Enc::new();
-        restored.save(&mut enc2);
-        assert_eq!(enc2.bytes(), bytes.as_slice());
-
-        // Continuing both machines identically must produce identical timing
-        // (bank/channel occupancy restored exactly) and identical values.
-        let a = l2.atomic(1000, add1(64));
-        let b = restored.atomic(1000, add1(64));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn load_rejects_truncation_and_geometry_mismatch() {
-        // Small geometry so scanning every truncation offset stays fast.
-        let cfg = L2Config {
-            cache: CacheConfig {
-                sets: 4,
-                ways: 2,
-                line_bytes: 64,
-                latency: 50,
-            },
-            banks: 2,
-            atomic_occupancy: 4,
-            access_occupancy: 2,
-        };
-        let mut l2 = L2::with_dram(cfg, DramConfig::isca2020());
-        l2.write(0, 64, 7);
-        l2.atomic(0, add1(64));
-        let mut enc = Enc::new();
-        l2.save(&mut enc);
-        let bytes = enc.into_bytes();
-
-        for cut in 0..bytes.len() {
-            let mut fresh = L2::with_dram(cfg, DramConfig::isca2020());
-            let mut dec = Dec::new(&bytes[..cut]);
-            let outcome = fresh.load(&mut dec).and_then(|()| dec.finish());
-            assert!(outcome.is_err(), "truncation at {cut} must be rejected");
-        }
-
-        // A snapshot from a differently-shaped L2 must be refused.
-        let mut other_cfg = cfg;
-        other_cfg.banks = 1;
-        let mut fresh = L2::with_dram(other_cfg, DramConfig::isca2020());
-        let mut dec = Dec::new(&bytes);
-        assert!(fresh.load(&mut dec).is_err());
-    }
-
-    #[test]
     fn monitored_count_and_version_move_only_on_a_flip() {
         let mut l2 = L2::new(L2Config::isca2020());
         assert_eq!((l2.monitored_lines(), l2.monitored_peak()), (0, 0));
@@ -565,31 +451,6 @@ mod tests {
         l2.clear_monitored(64);
         assert_eq!(l2.monitored_version(), v2);
         assert_eq!(l2.monitored_lines(), 1);
-    }
-
-    #[test]
-    fn load_recounts_monitored_lines_and_moves_the_version() {
-        let mut l2 = L2::new(L2Config::isca2020());
-        l2.set_monitored(64);
-        l2.set_monitored(128);
-        l2.set_monitored(192);
-        l2.clear_monitored(192);
-        let mut enc = Enc::new();
-        l2.save(&mut enc);
-        let bytes = enc.into_bytes();
-
-        // Loading over a machine with its own monitored lines replaces
-        // them: the count is the snapshot's, the peak restarts from it.
-        let mut other = L2::new(L2Config::isca2020());
-        for i in 0..5 {
-            other.set_monitored(4096 + i * 64);
-        }
-        let before = other.monitored_version();
-        other.load(&mut Dec::new(&bytes)).unwrap();
-        assert!(other.monitored_version() > before);
-        assert_eq!((other.monitored_lines(), other.monitored_peak()), (2, 2));
-        assert!(other.is_monitored(64) && other.is_monitored(128));
-        assert!(!other.is_monitored(192) && !other.is_monitored(4096));
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub mod l2;
 pub use addr::{Addr, AddressSpace, LINE_BYTES, WORD_BYTES};
 pub use atomic::{AtomicOp, AtomicRequest, AtomicResult};
 pub use backing::Backing;
-pub use cache::{AccessOutcome, Cache, CacheConfig};
+pub use cache::{AccessOutcome, Cache, CacheConfig, Way};
 pub use dram::{Dram, DramConfig};
 pub use l2::{L2Config, L2};

@@ -1,30 +1,21 @@
 //! The compact tag array against an array-of-structs reference model.
 //!
-//! `RefCache` below keeps one `Line` struct per way and finds set and tag
+//! `RefCache` below keeps one `Way` struct per way and finds set and tag
 //! by division. `Cache` and `RefCache` see the same random sequence of
-//! accesses, monitor flips, probes, flushes and save→load round trips over
-//! small power-of-two geometries, and must agree on every answer, every
-//! counter and every saved byte. A second property drives
-//! `L2::set_monitored`, which scans the set once, against a `contains`,
-//! an `access` and a `set_monitored` on the reference.
+//! accesses, monitor flips, probes and flushes over small power-of-two
+//! geometries, and must agree on every answer, every counter and, through
+//! [`Cache::ways`], every way of the tag array (tag, valid, monitored,
+//! pinned, last use). A second property drives `L2::set_monitored`, which
+//! scans the set once, against a `contains`, an `access` and a
+//! `set_monitored` on the reference.
 
-use awg_mem::{AccessOutcome, Addr, Cache, CacheConfig, DramConfig, L2Config, L2};
-use awg_sim::{Dec, Enc};
+use awg_mem::{AccessOutcome, Addr, Cache, CacheConfig, DramConfig, L2Config, Way, L2};
 use proptest::prelude::*;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    monitored: bool,
-    pinned: bool,
-    last_use: u64,
-}
 
 /// The reference model: one struct per way, division indexing.
 struct RefCache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    lines: Vec<Way>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -38,7 +29,7 @@ impl RefCache {
     fn new(config: CacheConfig) -> Self {
         RefCache {
             config,
-            lines: vec![Line::default(); config.sets * config.ways],
+            lines: vec![Way::default(); config.sets * config.ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -56,7 +47,7 @@ impl RefCache {
         (set, tag)
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Line] {
+    fn set_slice(&mut self, set: usize) -> &mut [Way] {
         let w = self.config.ways;
         &mut self.lines[set * w..(set + 1) * w]
     }
@@ -103,7 +94,7 @@ impl RefCache {
         } else {
             None
         };
-        slice[v] = Line {
+        slice[v] = Way {
             tag,
             valid: true,
             monitored: false,
@@ -122,7 +113,7 @@ impl RefCache {
             .any(|l| l.valid && l.tag == tag)
     }
 
-    fn line_mut(&mut self, addr: Addr) -> Option<&mut Line> {
+    fn line_mut(&mut self, addr: Addr) -> Option<&mut Way> {
         let (set, tag) = self.index_tag(addr);
         self.set_slice(set)
             .iter_mut()
@@ -167,42 +158,9 @@ impl RefCache {
 
     fn flush(&mut self) {
         for l in &mut self.lines {
-            *l = Line::default();
+            *l = Way::default();
         }
         self.monitored = 0;
-        self.monitored_version += 1;
-    }
-
-    fn save(&self, enc: &mut Enc) {
-        enc.u64(self.tick);
-        enc.u64(self.hits);
-        enc.u64(self.misses);
-        enc.u64(self.bypasses);
-        enc.usize(self.lines.len());
-        for l in &self.lines {
-            enc.u64(l.tag);
-            enc.bool(l.valid);
-            enc.bool(l.monitored);
-            enc.bool(l.pinned);
-            enc.u64(l.last_use);
-        }
-    }
-
-    fn load(&mut self, dec: &mut Dec<'_>) {
-        self.tick = dec.u64().unwrap();
-        self.hits = dec.u64().unwrap();
-        self.misses = dec.u64().unwrap();
-        self.bypasses = dec.u64().unwrap();
-        assert_eq!(dec.count(11).unwrap(), self.lines.len());
-        for l in &mut self.lines {
-            l.tag = dec.u64().unwrap();
-            l.valid = dec.bool().unwrap();
-            l.monitored = dec.bool().unwrap();
-            l.pinned = dec.bool().unwrap();
-            l.last_use = dec.u64().unwrap();
-        }
-        self.monitored = self.lines.iter().filter(|l| l.valid && l.monitored).count();
-        self.monitored_peak = self.monitored;
         self.monitored_version += 1;
     }
 
@@ -214,18 +172,6 @@ impl RefCache {
         }
         self.set_monitored(addr)
     }
-}
-
-fn saved_cache(c: &Cache) -> Vec<u8> {
-    let mut enc = Enc::new();
-    c.save(&mut enc);
-    enc.into_bytes()
-}
-
-fn saved_ref(c: &RefCache) -> Vec<u8> {
-    let mut enc = Enc::new();
-    c.save(&mut enc);
-    enc.into_bytes()
 }
 
 /// `(sets, ways, line_bytes)`: 1–16 sets, 1–8 ways, 1–128-byte lines,
@@ -265,7 +211,7 @@ proptest! {
     #[test]
     fn compact_tags_match_the_line_array(
         config in geometry(),
-        ops in prop::collection::vec((0u8..32, any::<u64>(), 0u8..8), 1..300),
+        ops in prop::collection::vec((0u8..30, any::<u64>(), 0u8..8), 1..300),
     ) {
         let mut fast = Cache::new(config);
         let mut slow = RefCache::new(config);
@@ -284,25 +230,17 @@ proptest! {
                 }
                 25 | 26 => prop_assert_eq!(fast.is_monitored(addr), slow.is_monitored(addr)),
                 27 | 28 => prop_assert_eq!(fast.contains(addr), slow.contains(addr)),
-                29 => {
+                _ => {
                     fast.flush();
                     slow.flush();
-                }
-                _ => {
-                    let bytes = saved_cache(&fast);
-                    prop_assert_eq!(&bytes, &saved_ref(&slow), "save {step}");
-                    fast = Cache::new(config);
-                    fast.load(&mut Dec::new(&bytes)).unwrap();
-                    slow = RefCache::new(config);
-                    slow.load(&mut Dec::new(&bytes));
                 }
             }
             prop_assert_eq!(fast.stats(), (slow.hits, slow.misses, slow.bypasses));
             prop_assert_eq!(fast.monitored_lines(), slow.monitored);
             prop_assert_eq!(fast.monitored_peak(), slow.monitored_peak);
             prop_assert_eq!(fast.monitored_version(), slow.monitored_version);
+            prop_assert_eq!(fast.ways().collect::<Vec<_>>(), slow.lines, "tag array {step}");
         }
-        prop_assert_eq!(saved_cache(&fast), saved_ref(&slow));
     }
 
     #[test]
@@ -343,10 +281,6 @@ proptest! {
             prop_assert_eq!(l2.monitored_peak(), slow.monitored_peak);
             prop_assert_eq!(l2.monitored_version(), slow.monitored_version);
         }
-        // The L2 image opens with its tag array.
-        let mut enc = Enc::new();
-        l2.save(&mut enc);
-        let want = saved_ref(&slow);
-        prop_assert_eq!(&enc.bytes()[..want.len()], want.as_slice());
+        prop_assert_eq!(l2.cache().ways().collect::<Vec<_>>(), slow.lines, "tag array");
     }
 }

@@ -351,13 +351,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events in the far-future/retro overflow tier
-    /// (observability for checkpoint tests and calendar diagnostics).
+    /// (calendar diagnostics).
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
     }
 
-    /// `(arena slots, free-list holes)` — observability for checkpoint
-    /// tests and calendar diagnostics.
+    /// `(arena slots, free-list holes)` (calendar diagnostics).
     pub fn arena_stats(&self) -> (usize, usize) {
         (self.slots.len(), self.free.len())
     }
@@ -392,50 +391,6 @@ impl<E> EventQueue<E> {
         self.slots
             .iter()
             .filter_map(|s| s.event.as_ref().map(|e| (s.cycle, e)))
-    }
-
-    /// Exports every pending event as `(cycle, seq, event)`, sorted by the
-    /// pop order `(cycle, seq)`, for checkpointing.
-    ///
-    /// Unlike [`iter`](Self::iter), the internal FIFO tie-break sequence is
-    /// included, so [`restore`](Self::restore) rebuilds a queue that pops in
-    /// *exactly* the original order — the property whole-machine snapshots
-    /// need for deterministic resume.
-    pub fn snapshot(&self) -> Vec<(Cycle, u64, E)>
-    where
-        E: Clone,
-    {
-        let mut out: Vec<(Cycle, u64, E)> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.event.clone().map(|e| (s.cycle, s.seq, e)))
-            .collect();
-        out.sort_unstable_by_key(|&(cycle, seq, _)| (cycle, seq));
-        out
-    }
-
-    /// Rebuilds a queue from a [`snapshot`](Self::snapshot) export and the
-    /// sequence counter to continue from.
-    ///
-    /// `next_seq` must be the original queue's
-    /// [`scheduled_total`](Self::scheduled_total) so that events
-    /// scheduled after the restore
-    /// keep losing FIFO ties against the restored ones, exactly as they
-    /// would have in the uninterrupted run.
-    pub fn restore(entries: Vec<(Cycle, u64, E)>, next_seq: u64) -> Self {
-        let mut q = Self::with_capacity(entries.len());
-        // Rebase the horizon on the earliest restored event so the bulk of
-        // the restored calendar lands on the wheel, not in the overflow.
-        // The entries arrive sorted by (cycle, seq) — append order along a
-        // bucket is therefore seq order, as required.
-        q.cursor = entries.first().map_or(0, |&(cycle, _, _)| cycle);
-        for (cycle, seq, event) in entries {
-            debug_assert!(seq < next_seq, "restored seq beyond the counter");
-            let r = q.alloc_slot(cycle, seq, event);
-            q.insert_ref(cycle, seq, r);
-        }
-        q.seq = next_seq;
-        q
     }
 }
 
@@ -505,33 +460,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![(1, 'b'), (2, 'c'), (3, 'a')]);
         assert_eq!(q.len(), 3, "iteration must not consume events");
-    }
-
-    #[test]
-    fn snapshot_restore_preserves_pop_order_and_ties() {
-        let mut q = EventQueue::new();
-        q.schedule(5, 'a');
-        q.schedule(3, 'b');
-        q.schedule(5, 'c'); // ties with 'a'; FIFO says 'a' first
-        q.schedule(1, 'd');
-        let snap = q.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert!(snap.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let mut r = EventQueue::restore(snap, q.scheduled_total());
-        assert_eq!(r.scheduled_total(), q.scheduled_total());
-        let popped: Vec<_> = std::iter::from_fn(|| r.pop()).collect();
-        let original: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(popped, original);
-    }
-
-    #[test]
-    fn restore_keeps_new_events_behind_old_ties() {
-        let mut q = EventQueue::new();
-        q.schedule(9, "old");
-        let mut r = EventQueue::restore(q.snapshot(), q.scheduled_total());
-        r.schedule(9, "new");
-        assert_eq!(r.pop(), Some((9, "old")));
-        assert_eq!(r.pop(), Some((9, "new")));
     }
 
     #[test]

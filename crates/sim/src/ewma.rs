@@ -75,26 +75,6 @@ impl Ewma {
         self.value = None;
         self.samples = 0;
     }
-
-    /// Decomposes the average into `(shift, value, samples)` for
-    /// checkpointing.
-    pub fn raw(&self) -> (u32, Option<u64>, u64) {
-        (self.shift, self.value, self.samples)
-    }
-
-    /// Rebuilds an average from [`Ewma::raw`] parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shift > 32`, same as [`Ewma::new`].
-    pub fn from_raw(shift: u32, value: Option<u64>, samples: u64) -> Self {
-        assert!(shift <= 32, "shift too large");
-        Ewma {
-            shift,
-            value,
-            samples,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod event;
 pub mod ewma;
 pub mod fasthash;
@@ -48,7 +47,6 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 
-pub use codec::{crc32, CodecError, Dec, Enc};
 pub use event::EventQueue;
 pub use ewma::Ewma;
 pub use fasthash::{FastHasher, FastMap};

@@ -23,7 +23,6 @@
 
 use std::time::Duration;
 
-use crate::codec::{CodecError, Dec, Enc};
 use crate::stats::{DistId, HistId, Stats};
 use crate::time::Cycle;
 
@@ -755,140 +754,6 @@ impl TelemetryHub {
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
-
-    /// Serializes every simulation-visible accumulator for checkpointing.
-    ///
-    /// The host [`SelfProfile`] is deliberately excluded: wall-clock
-    /// attribution belongs to whichever process happens to be running, and
-    /// it never feeds the digest trail, Stats report, or CSVs that restore
-    /// must reproduce byte-for-byte.
-    pub fn save(&self, enc: &mut Enc) {
-        let mut stats_enc = Enc::new();
-        self.stats.save(&mut stats_enc);
-        enc.usize(stats_enc.len());
-        enc.raw(stats_enc.bytes());
-        enc.usize(self.wgs.len());
-        for a in &self.wgs {
-            enc.u8(a.state.index() as u8);
-            enc.u64(a.since);
-            for &t in &a.time {
-                enc.u64(t);
-            }
-            enc.u8(a.cause.index() as u8);
-            enc.u64(a.cause_since);
-            for &t in &a.cause_time {
-                enc.u64(t);
-            }
-            enc.opt_u64(a.wake_pending);
-        }
-        enc.opt_u64(self.snapshot_next);
-        enc.u64(self.prev_atomics);
-        enc.u64(self.prev_swap_outs);
-        enc.u64(self.prev_swap_ins);
-        enc.usize(self.snapshots.len());
-        for s in &self.snapshots {
-            enc.u64(s.cycle);
-            enc.u64(s.window);
-            enc.usize(s.occupancy.len());
-            for &o in &s.occupancy {
-                enc.u32(o);
-            }
-            for &c in &s.state_counts {
-                enc.u64(c);
-            }
-            for &c in &s.cause_counts {
-                enc.u64(c);
-            }
-            enc.u64(s.atomics);
-            enc.u64(s.swap_outs);
-            enc.u64(s.swap_ins);
-        }
-        enc.u64(self.latest);
-        enc.opt_u64(self.end_cycle);
-    }
-
-    /// Overlays state serialized by [`TelemetryHub::save`] onto this hub.
-    ///
-    /// The hub must have been constructed with the same
-    /// [`TelemetryConfig`] as the one that was saved; the configuration
-    /// itself is identity, not state, and is not serialized.
-    pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let stats_len = dec.count(1)?;
-        let stats_bytes = dec.take(stats_len)?;
-        let mut stats_dec = Dec::new(stats_bytes);
-        self.stats = Stats::load(&mut stats_dec)?;
-        stats_dec.finish()?;
-        self.wake_to_resume = None;
-        self.ctx_switch = [None; 2];
-        let n = dec.count(1 + 8 + 8 * PROGRESS_STATES + 1 + 8 + 8 * ATTRIBUTION_CAUSES + 1)?;
-        self.wgs.clear();
-        for _ in 0..n {
-            let idx = dec.u8()? as usize;
-            let state = *ProgressState::ALL
-                .get(idx)
-                .ok_or_else(|| CodecError::Invalid(format!("progress state {idx}")))?;
-            let since = dec.u64()?;
-            let mut time = [0; PROGRESS_STATES];
-            for t in time.iter_mut() {
-                *t = dec.u64()?;
-            }
-            let idx = dec.u8()? as usize;
-            let cause = *AttributionCause::ALL
-                .get(idx)
-                .ok_or_else(|| CodecError::Invalid(format!("attribution cause {idx}")))?;
-            let cause_since = dec.u64()?;
-            let mut cause_time = [0; ATTRIBUTION_CAUSES];
-            for t in cause_time.iter_mut() {
-                *t = dec.u64()?;
-            }
-            let wake_pending = dec.opt_u64()?;
-            self.wgs.push(WgAccount {
-                state,
-                since,
-                time,
-                cause,
-                cause_since,
-                cause_time,
-                wake_pending,
-            });
-        }
-        self.snapshot_next = dec.opt_u64()?;
-        self.prev_atomics = dec.u64()?;
-        self.prev_swap_outs = dec.u64()?;
-        self.prev_swap_ins = dec.u64()?;
-        let n = dec.count(8 * (2 + PROGRESS_STATES + ATTRIBUTION_CAUSES + 3) + 8)?;
-        self.snapshots.clear();
-        for _ in 0..n {
-            let cycle = dec.u64()?;
-            let window = dec.u64()?;
-            let occ_n = dec.count(4)?;
-            let mut occupancy = Vec::with_capacity(occ_n);
-            for _ in 0..occ_n {
-                occupancy.push(dec.u32()?);
-            }
-            let mut state_counts = [0; PROGRESS_STATES];
-            for c in state_counts.iter_mut() {
-                *c = dec.u64()?;
-            }
-            let mut cause_counts = [0; ATTRIBUTION_CAUSES];
-            for c in cause_counts.iter_mut() {
-                *c = dec.u64()?;
-            }
-            self.snapshots.push(MetricSnapshot {
-                cycle,
-                window,
-                occupancy,
-                state_counts,
-                cause_counts,
-                atomics: dec.u64()?,
-                swap_outs: dec.u64()?,
-                swap_ins: dec.u64()?,
-            });
-        }
-        self.latest = dec.u64()?;
-        self.end_cycle = dec.opt_u64()?;
-        Ok(())
-    }
 }
 
 /// Chrome-Trace-Format (`trace_event`) JSON builder.
@@ -1203,66 +1068,6 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("execute"));
         assert!(text.contains("cycles/s"));
-    }
-
-    #[test]
-    fn hub_save_load_round_trips_mid_run_state() {
-        let config = TelemetryConfig {
-            snapshot_window: Some(100),
-            profiling: false,
-        };
-        let mut hub = TelemetryHub::new(config);
-        hub.ensure_wgs(3);
-        hub.transition(0, ProgressState::Running, 10);
-        hub.attribute(0, AttributionCause::Executing, 10);
-        hub.note_wake(1, 40);
-        hub.note_ctx_switch(SwapDir::Out, 120, 30, 5);
-        hub.push_snapshot(SnapshotSample {
-            cycle: 100,
-            occupancy: vec![2, 1],
-            state_counts: [1, 1, 0, 0, 0, 0, 0, 1],
-            cause_counts: [2, 1, 0, 0, 0, 0, 0],
-            atomics_total: 40,
-            swap_outs_total: 1,
-            swap_ins_total: 0,
-        });
-
-        let mut enc = Enc::new();
-        hub.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut restored = TelemetryHub::new(config);
-        let mut dec = Dec::new(&bytes);
-        restored.load(&mut dec).unwrap();
-        dec.finish().unwrap();
-
-        // Continue both identically; outcomes must match exactly.
-        for h in [&mut hub, &mut restored] {
-            h.transition(1, ProgressState::Running, 130);
-            h.attribute(1, AttributionCause::Executing, 130);
-            h.push_snapshot(SnapshotSample {
-                cycle: 200,
-                occupancy: vec![2, 2],
-                state_counts: [0, 2, 0, 0, 0, 0, 0, 1],
-                cause_counts: [1, 2, 0, 0, 0, 0, 0],
-                atomics_total: 90,
-                swap_outs_total: 3,
-                swap_ins_total: 2,
-            });
-            h.finalize(250);
-        }
-        assert_eq!(restored.snapshots(), hub.snapshots());
-        assert_eq!(restored.end_cycle(), hub.end_cycle());
-        assert_eq!(restored.stats().to_string(), hub.stats().to_string());
-        for wg in 0..hub.wg_count() {
-            assert_eq!(restored.wg_state_times(wg), hub.wg_state_times(wg));
-            assert_eq!(restored.wg_cause_times(wg), hub.wg_cause_times(wg));
-        }
-        // And the re-encoding is a fixed point.
-        let mut e1 = Enc::new();
-        hub.save(&mut e1);
-        let mut e2 = Enc::new();
-        restored.save(&mut e2);
-        assert_eq!(e1.bytes(), e2.bytes());
     }
 
     #[test]

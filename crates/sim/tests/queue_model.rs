@@ -7,7 +7,7 @@
 //! `(cycle, seq, payload)` with FIFO sequence tie-breaks. Every generated
 //! interleaving drives both side by side and demands identical observable
 //! behaviour: `pop` order (including same-cycle FIFO), `peek_cycle`,
-//! `len`, snapshot contents, and arena accounting.
+//! `len`, and arena accounting.
 //!
 //! The op mix is tuned to hit the queue's structurally distinct regimes:
 //! same-cycle bursts (a bucket list's `head`/`tail` and `next` links),
@@ -15,9 +15,7 @@
 //! horizon), retro schedules (behind the wheel cursor, also overflow),
 //! same-cycle ties split across the two tiers (an overflow event whose
 //! cycle later enters the horizon, then a wheel event at that cycle),
-//! wheel wraparound (popping across many revolutions), and
-//! snapshot/restore mid-stream (horizon rebasing plus seq-counter
-//! continuation).
+//! and wheel wraparound (popping across many revolutions).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,8 +49,6 @@ enum Op {
     FarThenWheelTie(u64),
     /// Pop up to `count` events, checking each against the model.
     Pop(u8),
-    /// Snapshot the queue and rebuild it via `restore`, mid-stream.
-    RestoreRoundtrip,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -63,7 +59,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1u64..10_000).prop_map(Op::Retro),
         (HORIZON..100_000).prop_map(Op::FarThenWheelTie),
         (1u8..12).prop_map(Op::Pop),
-        Just(Op::RestoreRoundtrip),
     ]
 }
 
@@ -88,12 +83,6 @@ impl HeapModel {
 
     fn peek_cycle(&self) -> Option<Cycle> {
         self.heap.peek().map(|Reverse((c, _, _))| *c)
-    }
-
-    fn sorted_entries(&self) -> Vec<(Cycle, u64, u32)> {
-        let mut v: Vec<_> = self.heap.iter().map(|Reverse(t)| *t).collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -163,20 +152,6 @@ fn run_interleaving(ops: &[Op]) {
                     }
                 }
             }
-            Op::RestoreRoundtrip => {
-                let snap = q.snapshot();
-                assert_eq!(
-                    snap,
-                    model.sorted_entries(),
-                    "snapshot diverged from the heap model"
-                );
-                q = EventQueue::restore(snap, q.scheduled_total());
-                assert_eq!(
-                    q.scheduled_total(),
-                    model.seq,
-                    "restore must continue the seq counter"
-                );
-            }
         }
 
         // Step-wise observables.
@@ -206,11 +181,10 @@ fn run_interleaving(ops: &[Op]) {
     if scheduled_far {
         assert!(saw_overflow, "far-future ops never reached the overflow");
     }
-    // Without a restore the cursor is always the latest popped cycle, so
-    // every tie op splits its pair across the tiers; a restore may rebase
-    // the horizon past it.
+    // The cursor is always the latest popped cycle, so every tie op splits
+    // its pair across the tiers.
     let tie = ops.iter().any(|o| matches!(o, Op::FarThenWheelTie(_)));
-    if tie && !ops.iter().any(|o| matches!(o, Op::RestoreRoundtrip)) {
+    if tie {
         assert!(saw_cross_tier_tie, "tie ops never split across the tiers");
     }
 }
@@ -232,21 +206,6 @@ proptest! {
         pops in 1u8..40,
     ) {
         let ops = vec![Op::Burst(count, off), Op::Pop(pops), Op::Burst(count, off)];
-        run_interleaving(&ops);
-    }
-
-    /// Restore in the middle of an overflow-heavy stream: the horizon is
-    /// rebased, the seq counter continues, and order is unchanged.
-    #[test]
-    fn restore_mid_overflow_stream(
-        far in prop::collection::vec(4096u64..500_000, 1..20),
-        pops in 1u8..10,
-    ) {
-        let mut ops = vec![Op::Near(10), Op::Burst(3, 0)];
-        ops.extend(far.into_iter().map(Op::Far));
-        ops.push(Op::RestoreRoundtrip);
-        ops.push(Op::Pop(pops));
-        ops.push(Op::RestoreRoundtrip);
         run_interleaving(&ops);
     }
 }
@@ -283,9 +242,6 @@ fn deterministic_wheel_revolution_soak() {
             ops.push(Op::FarThenWheelTie(HORIZON + (i * 131) % 20_000));
         }
         ops.push(Op::Pop(4));
-        if i % 97 == 0 {
-            ops.push(Op::RestoreRoundtrip);
-        }
     }
     ops.push(Op::Pop(u8::MAX));
     run_interleaving(&ops);
