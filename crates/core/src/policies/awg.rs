@@ -20,7 +20,7 @@ use awg_gpu::{
 use awg_mem::Addr;
 use awg_sim::{Cycle, DistId, Ewma, FastMap, HistId, Stats};
 
-use super::monitor::{MonitorCore, TrackOutcome};
+use super::monitor::{self, MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
 
 /// Minimum predicted stall (floor for the EWMA-driven stall period).
@@ -305,7 +305,7 @@ impl SchedPolicy for AwgPolicy {
     }
 
     fn report(&self, stats: &mut Stats) {
-        self.core.report("awg", stats);
+        self.core.report(&monitor::AWG_REPORT, stats);
         for (name, value) in [
             ("awg_resume_all_events", self.resume_all_events),
             ("awg_resume_one_events", self.resume_one_events),

@@ -25,7 +25,7 @@ mod timeout;
 pub use awg::AwgPolicy;
 pub use chaos::{ChaosMode, ChaosWrap, DropWakes};
 pub use minresume::MinResumePolicy;
-pub use monitor::MonitorCore;
+pub use monitor::{MonitorCore, ReportNames};
 pub use monnr::{MonNrAllPolicy, MonNrOnePolicy};
 pub use monr::MonRAllPolicy;
 pub use monrs::MonRsAllPolicy;

@@ -269,33 +269,70 @@ impl MonitorCore {
             .collect()
     }
 
-    /// Dumps monitor counters into the run statistics.
-    pub fn report(&self, prefix: &str, stats: &mut Stats) {
+    /// Dumps monitor counters into the run statistics, under `names`.
+    pub fn report(&self, names: &ReportNames, stats: &mut Stats) {
         let (conds_hw, waiters_hw, addrs_hw) = self.syncmon.high_water();
         let (appends, rejects, log_hw) = self.log.stats();
         let (drained, checks) = self.cp.stats();
-        let fp = self.cp.footprint();
-        for (name, value) in [
-            ("syncmon_max_conditions", conds_hw as u64),
-            ("syncmon_max_waiters", waiters_hw as u64),
-            ("syncmon_max_monitored_addrs", addrs_hw as u64),
-            ("syncmon_spills", self.syncmon.spill_count()),
-            ("monitor_log_appends", appends),
-            ("monitor_log_rejects", rejects),
-            ("monitor_log_high_water", log_hw as u64),
-            ("cp_entries_drained", drained),
-            ("cp_condition_checks", checks),
-            ("cp_footprint_bytes", fp.total()),
-            ("mesa_retries", self.mesa_retries),
-            ("wakes_issued", self.wakes_issued),
-            ("chaos_evicted_waiters", self.chaos_evicted_waiters),
-            ("chaos_bloom_pollutions", self.chaos_bloom_pollutions),
-        ] {
-            let c = stats.counter(&format!("{prefix}_{name}"));
+        let values = [
+            conds_hw as u64,
+            waiters_hw as u64,
+            addrs_hw as u64,
+            self.syncmon.spill_count(),
+            appends,
+            rejects,
+            log_hw as u64,
+            drained,
+            checks,
+            self.cp.footprint().total(),
+            self.mesa_retries,
+            self.wakes_issued,
+            self.chaos_evicted_waiters,
+            self.chaos_bloom_pollutions,
+        ];
+        for (&name, value) in names.iter().zip(values) {
+            let c = stats.counter(name);
             stats.add(c, value);
         }
     }
 }
+
+/// The names [`MonitorCore::report`] writes its counters under, in the
+/// order it writes them.
+pub type ReportNames = [&'static str; 14];
+
+/// [`ReportNames`] under `prefix`, built at compile time.
+macro_rules! report_names {
+    ($prefix:literal) => {
+        [
+            concat!($prefix, "_syncmon_max_conditions"),
+            concat!($prefix, "_syncmon_max_waiters"),
+            concat!($prefix, "_syncmon_max_monitored_addrs"),
+            concat!($prefix, "_syncmon_spills"),
+            concat!($prefix, "_monitor_log_appends"),
+            concat!($prefix, "_monitor_log_rejects"),
+            concat!($prefix, "_monitor_log_high_water"),
+            concat!($prefix, "_cp_entries_drained"),
+            concat!($prefix, "_cp_condition_checks"),
+            concat!($prefix, "_cp_footprint_bytes"),
+            concat!($prefix, "_mesa_retries"),
+            concat!($prefix, "_wakes_issued"),
+            concat!($prefix, "_chaos_evicted_waiters"),
+            concat!($prefix, "_chaos_bloom_pollutions"),
+        ]
+    };
+}
+
+/// AWG's monitor counter names.
+pub(crate) const AWG_REPORT: ReportNames = report_names!("awg");
+/// MonR-All's monitor counter names.
+pub(crate) const MONR_REPORT: ReportNames = report_names!("monr");
+/// MonNR-All's monitor counter names.
+pub(crate) const MONNR_ALL_REPORT: ReportNames = report_names!("monnr_all");
+/// MonNR-One's monitor counter names.
+pub(crate) const MONNR_ONE_REPORT: ReportNames = report_names!("monnr_one");
+/// MonRS-All's monitor counter names.
+pub(crate) const MONRS_REPORT: ReportNames = report_names!("monrs");
 
 /// The registry record of a tracked waiter. `MesaRetry` outcomes never
 /// enter the tracking map, so every record is Cached or Spilled.
@@ -455,7 +492,7 @@ mod tests {
     fn report_writes_counters() {
         let core = MonitorCore::new();
         let mut stats = Stats::new();
-        core.report("monr", &mut stats);
+        core.report(&MONR_REPORT, &mut stats);
         assert_eq!(stats.get_by_name("monr_mesa_retries"), Some(0));
         assert!(stats.get_by_name("monr_cp_footprint_bytes").is_some());
     }

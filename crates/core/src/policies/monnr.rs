@@ -17,7 +17,7 @@ use awg_gpu::{
 };
 use awg_sim::{Cycle, Stats};
 
-use super::monitor::{MonitorCore, TrackOutcome};
+use super::monitor::{self, MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
 
 /// How many waiters a met condition resumes.
@@ -171,7 +171,7 @@ impl SchedPolicy for MonNrAllPolicy {
     }
 
     fn report(&self, stats: &mut Stats) {
-        self.0.core.report("monnr_all", stats);
+        self.0.core.report(&monitor::MONNR_ALL_REPORT, stats);
         let c = stats.counter("monnr_all_met_wakes");
         stats.add(c, self.0.met_wakes);
     }
@@ -273,7 +273,7 @@ impl SchedPolicy for MonNrOnePolicy {
     }
 
     fn report(&self, stats: &mut Stats) {
-        self.0.core.report("monnr_one", stats);
+        self.0.core.report(&monitor::MONNR_ONE_REPORT, stats);
         let c = stats.counter("monnr_one_met_wakes");
         stats.add(c, self.0.met_wakes);
     }

@@ -13,7 +13,7 @@ use awg_gpu::{
 };
 use awg_sim::{Cycle, Stats};
 
-use super::monitor::{MonitorCore, TrackOutcome};
+use super::monitor::{self, MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
 
 /// Condition-checking monitor armed by `wait`, resume-all.
@@ -124,7 +124,7 @@ impl SchedPolicy for MonRAllPolicy {
     }
 
     fn report(&self, stats: &mut Stats) {
-        self.core.report("monr", stats);
+        self.core.report(&monitor::MONR_REPORT, stats);
         let c = stats.counter("monr_met_wakes");
         stats.add(c, self.met_wakes);
     }

@@ -15,7 +15,7 @@ use awg_gpu::{
 };
 use awg_sim::{Cycle, Stats};
 
-use super::monitor::{MonitorCore, TrackOutcome};
+use super::monitor::{self, MonitorCore, TrackOutcome};
 use super::{DEFAULT_CP_TICK, DEFAULT_FALLBACK_TIMEOUT};
 
 /// Sporadic-notification monitor, resume-all.
@@ -139,7 +139,7 @@ impl SchedPolicy for MonRsAllPolicy {
     }
 
     fn report(&self, stats: &mut Stats) {
-        self.core.report("monrs", stats);
+        self.core.report(&monitor::MONRS_REPORT, stats);
         let c = stats.counter("monrs_sporadic_wakes");
         stats.add(c, self.sporadic_wakes);
     }

@@ -9,7 +9,7 @@ use awg_gpu::{
     SyncFail, SyncStyle, TimeoutAction, WaitDirective, WaiterRecord, WaiterStructure, Wake, WgId,
     WgResources,
 };
-use awg_isa::{Cond, Operand, ProgramBuilder, Reg};
+use awg_isa::{Cond, Operand, ProgramBuilder, Reg, Special};
 use awg_sim::{Cycle, Stats};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -413,6 +413,161 @@ fn registry_change_without_a_journal_entry_waits_for_the_next_window_sweep() {
     assert!(
         (boundary..boundary + 100).contains(&first.at),
         "dropped at {hidden_at}, reported at {}",
+        first.at
+    );
+}
+
+/// MonNR-One, journaling, behind a wrapper that from the first WG finish
+/// on lists the lowest WG then registered twice in its whole registry, and
+/// journals nothing for it: a registry change only a whole read sees.
+#[derive(Debug)]
+struct Doubled {
+    inner: MonNrOnePolicy,
+    /// The WG listed twice, and the cycle it started.
+    doubled: Rc<Cell<Option<(WgId, Cycle)>>>,
+}
+
+impl SchedPolicy for Doubled {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn style(&self) -> SyncStyle {
+        self.inner.style()
+    }
+    fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
+        self.inner.on_sync_fail(ctx, fail)
+    }
+    fn on_monitored_update(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        update: &MonitoredUpdate,
+        wakes: &mut Vec<Wake>,
+    ) {
+        self.inner.on_monitored_update(ctx, update, wakes);
+    }
+    fn on_wait_timeout(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        wg: WgId,
+        cond: &SyncCond,
+    ) -> TimeoutAction {
+        self.inner.on_wait_timeout(ctx, wg, cond)
+    }
+    fn on_wake_delivered(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId, cond: &SyncCond) {
+        self.inner.on_wake_delivered(ctx, wg, cond);
+    }
+    fn on_wg_finished(&mut self, ctx: &mut PolicyCtx<'_>, wg: WgId) {
+        if self.doubled.get().is_none() {
+            let mut lowest = None;
+            self.inner.for_each_waiter(&mut |w, _| {
+                lowest = Some(lowest.map_or(w, |l: WgId| l.min(w)));
+            });
+            self.doubled.set(lowest.map(|w| (w, ctx.now)));
+        }
+        self.inner.on_wg_finished(ctx, wg);
+    }
+    fn cp_tick_period(&self) -> Option<Cycle> {
+        self.inner.cp_tick_period()
+    }
+    fn on_cp_tick(&mut self, ctx: &mut PolicyCtx<'_>, wakes: &mut Vec<Wake>) {
+        self.inner.on_cp_tick(ctx, wakes);
+    }
+    fn for_each_waiter(&self, visit: &mut dyn FnMut(WgId, WaiterRecord)) {
+        let doubled = self.doubled.get().map(|(wg, _)| wg);
+        self.inner.for_each_waiter(&mut |wg, rec| {
+            visit(wg, rec);
+            if Some(wg) == doubled {
+                visit(wg, rec);
+            }
+        });
+    }
+    fn journals_registry(&self) -> bool {
+        self.inner.journals_registry()
+    }
+    fn for_each_record_of(&self, wg: WgId, visit: &mut dyn FnMut(WaiterRecord)) {
+        self.inner.for_each_record_of(wg, visit);
+    }
+}
+
+/// WG 0 computes until just before the 10k-cycle sweep boundary and
+/// finishes; WG 1 waits on a flag that WG 2 raises at about 13k cycles,
+/// computing in 100-cycle steps until then. Between WG 0's finish and
+/// the raise, only the CP tick at 10k calls the policy.
+fn late_flag_kernel() -> Kernel {
+    const FLAG: u64 = 0x2000;
+    let mut b = ProgramBuilder::new("late_flag");
+    let waiter = b.new_label();
+    let raiser = b.new_label();
+    let step = b.new_label();
+    b.special(Reg::R1, Special::WgId);
+    b.br(Cond::Eq, Reg::R1, Operand::Imm(1), waiter);
+    b.br(Cond::Eq, Reg::R1, Operand::Imm(2), raiser);
+    b.compute(9_700);
+    b.halt();
+    b.bind(waiter);
+    b.atom_cmp_wait(Reg::R0, FLAG, 1i64);
+    b.br(Cond::Ne, Reg::R0, Operand::Imm(1), waiter);
+    b.halt();
+    b.bind(raiser);
+    b.li(Reg::R2, 0);
+    b.bind(step);
+    b.compute(100);
+    b.add(Reg::R2, Reg::R2, 1i64);
+    b.br(Cond::Lt, Reg::R2, Operand::Imm(130), step);
+    b.atom_exch(Reg::R0, FLAG, 1i64);
+    b.halt();
+    Kernel::new(b.build().unwrap(), 3, WgResources::default())
+}
+
+/// Runs [`late_flag_kernel`] under [`Doubled`] with the oracle on, and
+/// returns the machine and the WG listed twice, with the cycle it started.
+fn run_doubled() -> (Gpu, Option<(WgId, Cycle)>) {
+    let doubled = Rc::new(Cell::new(None));
+    let mut gpu = Gpu::new(
+        GpuConfig::isca2020_baseline(),
+        late_flag_kernel(),
+        Box::new(Doubled {
+            inner: MonNrOnePolicy::new(),
+            doubled: Rc::clone(&doubled),
+        }),
+    );
+    gpu.enable_invariant_oracle();
+    assert!(gpu.run().is_completed());
+    (gpu, doubled.get())
+}
+
+/// Debug builds compare every journaled read with a whole one, so the
+/// unjournaled change fails at the event that makes it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "without journaling it")]
+fn unjournaled_duplicate_trips_the_debug_cross_check() {
+    run_doubled();
+}
+
+/// Release builds: a record listed twice that no journal names is seen
+/// by the next window sweep's whole read, which reports it from a sorted
+/// read of the registry, as the sweep always has. No per-event check
+/// would: the waiter's record goes when it is woken, before any other
+/// policy call.
+#[cfg(not(debug_assertions))]
+#[test]
+fn unjournaled_duplicate_is_reported_by_the_next_window_sweep() {
+    use awg_gpu::oracle::SWEEP_WINDOW;
+    let (gpu, doubled) = run_doubled();
+    let (wg, from) = doubled.expect("a WG was registered to double");
+    assert_eq!(wg, 1);
+    let boundary = (from / SWEEP_WINDOW + 1) * SWEEP_WINDOW;
+    let v = gpu.violations();
+    let first = v.first().unwrap_or_else(|| panic!("nothing reported"));
+    assert_eq!(first.kind, InvariantKind::DuplicateRegistration, "{first}");
+    assert_eq!(
+        first.detail,
+        "WG 1 registered in more than one wait structure"
+    );
+    assert!(
+        (boundary..boundary + 100).contains(&first.at),
+        "doubled at {from}, reported at {}",
         first.at
     );
 }

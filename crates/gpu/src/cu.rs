@@ -5,7 +5,7 @@
 //! kernel are sequentially dispatched until execution resources … and memory
 //! resources … are saturated").
 
-use awg_mem::{Cache, CacheConfig};
+use awg_mem::Cache;
 
 use crate::config::{GpuConfig, WgResources};
 use crate::wg::WgId;
@@ -152,11 +152,6 @@ impl Cu {
     /// L1 latency in cycles.
     pub fn l1_latency(&self) -> u64 {
         self.l1.config().latency
-    }
-
-    /// L1 config (for tests).
-    pub fn l1_config(&self) -> &CacheConfig {
-        self.l1.config()
     }
 }
 

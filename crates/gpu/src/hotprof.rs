@@ -211,6 +211,7 @@ impl HotReport {
             ("journal_reads", r.journal_reads),
             ("journal_wgs", r.journal_wgs),
             ("journal_records", r.journal_records),
+            ("report_reads", r.report_reads),
         ]
         .into_iter()
         .map(|(name, n)| (name.to_owned(), Value::Num(n as f64)))
@@ -303,14 +304,15 @@ impl std::fmt::Display for HotReport {
         writeln!(
             f,
             "  oracle registry reads: {} by sweeps ({} records), {} whole by events ({} \
-             records), {} journaled ({} WGs, {} records)",
+             records), {} journaled ({} WGs, {} records), {} sorted to report",
             r.sweep_reads,
             r.sweep_records,
             r.full_reads,
             r.full_records,
             r.journal_reads,
             r.journal_wgs,
-            r.journal_records
+            r.journal_records,
+            r.report_reads
         )?;
         writeln!(
             f,
@@ -420,6 +422,7 @@ mod tests {
             0,
             RegistryReads {
                 journal_wgs: 17,
+                report_reads: 2,
                 ..RegistryReads::default()
             },
         );
@@ -429,6 +432,9 @@ mod tests {
         }
         assert!(text.contains("calendar high-water"), "{text}");
         assert!(text.contains("share"), "{text}");
-        assert!(text.contains("0 journaled (17 WGs, 0 records)"), "{text}");
+        assert!(
+            text.contains("0 journaled (17 WGs, 0 records), 2 sorted to report"),
+            "{text}"
+        );
     }
 }

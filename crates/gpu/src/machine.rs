@@ -47,6 +47,10 @@ fn value_of(regs: &RegFile, op: Operand) -> i64 {
     }
 }
 
+/// Counters a run summary adds to its copy of the live registry, with
+/// room to spare: 8 memory-system, 8 fault and up to 19 policy counters.
+const SUMMARY_COUNTERS: usize = 40;
+
 /// Fallback timeout forced onto `Wait { timeout: None }` directives while a
 /// fault plan is installed: dropped wakes must never strand a waiter
 /// forever, or every Drop window would read as a deadlock.
@@ -580,12 +584,14 @@ impl Gpu {
     }
 
     /// The end-of-run hot-path report, when the profiler was enabled.
-    /// Call after [`Gpu::run`]: the report folds in the policy's monitor
-    /// probe counters, which land in the stats registry at summary time.
+    /// Call after [`Gpu::run`].
     pub fn hot_report(&self) -> Option<HotReport> {
         self.hotprof.as_ref().map(|p| {
-            let log_cp_probes: u64 = self
-                .stats
+            // The monitor probe counters, which the policy reports into a
+            // run's summary; `summarize` never adds them to `self.stats`.
+            let mut policy = Stats::new();
+            self.policy.report(&mut policy);
+            let log_cp_probes: u64 = policy
                 .counters()
                 .filter(|(name, _)| {
                     name.ends_with("cp_condition_checks") || name.ends_with("monitor_log_appends")
@@ -1739,7 +1745,12 @@ impl Gpu {
             running += wg.running_cycles(now);
             waiting += wg.waiting_cycles + wg.wait_since.map_or(0, |s| now.saturating_sub(s));
         }
-        // Fold memory-system counters into the registry.
+        // The summary's registry is a copy of the live one with the
+        // memory-system, fault, telemetry and policy counters folded in.
+        // The live registry never holds them, so a second `run` on a
+        // finished machine summarizes the same registry again.
+        let mut stats = self.stats.clone();
+        stats.reserve_counters(SUMMARY_COUNTERS);
         let (l2_atomics, l2_reads, l2_writes) = self.l2.op_counts();
         let (hits, misses, bypasses) = self.l2.cache_stats();
         let (dram_accesses, dram_queued) = self.l2.dram_stats();
@@ -1753,9 +1764,8 @@ impl Gpu {
             ("dram_accesses", dram_accesses),
             ("dram_queued_cycles", dram_queued),
         ] {
-            let c = self.stats.counter(name);
-            let prev = self.stats.get(c);
-            self.stats.add(c, value.saturating_sub(prev));
+            let c = stats.counter(name);
+            stats.add(c, value);
         }
         if self.fault_plan.is_some() {
             for (name, value) in [
@@ -1768,17 +1778,15 @@ impl Gpu {
                 ("fault_policy_injections", self.chaos.policy_injections),
                 ("fault_ctx_stall_hits", self.chaos.ctx_stall_hits),
             ] {
-                let c = self.stats.counter(name);
-                let prev = self.stats.get(c);
-                self.stats.add(c, value.saturating_sub(prev));
+                let c = stats.counter(name);
+                stats.add(c, value);
             }
         }
-        if let Some(mut hub) = self.telemetry.take() {
+        if let Some(hub) = self.telemetry.as_mut() {
             hub.finalize(now);
-            self.stats.absorb(hub.stats());
-            self.telemetry = Some(hub);
+            stats.absorb(hub.stats());
         }
-        self.policy.report(&mut self.stats);
+        self.policy.report(&mut stats);
         RunSummary {
             cycles: now,
             insts,
@@ -1789,7 +1797,7 @@ impl Gpu {
             switches_in: self.switches_in,
             resumes: self.resumes,
             unnecessary_resumes: self.unnecessary_resumes,
-            stats: self.stats.clone(),
+            stats,
         }
     }
 

@@ -26,14 +26,21 @@
 //! The full sweep ([`Gpu::check_invariants`]) reads every WG, both queues,
 //! every CU's resident list and the policy's whole waiter registry, and
 //! walks the event calendar when some waiter has neither a registration
-//! nor a landed wake. With the oracle on, the machine runs it after the
-//! first event, after the first event at or past every
-//! [`SWEEP_WINDOW`]-cycle boundary, and whenever [`Gpu::run`] returns.
-//! After every other event that is not quiet (below) it runs the
-//! per-event check instead, over the event's **touch set**: the event's own
-//! WG, every WG whose state the event set, every WG the policy woke, and,
-//! on events that called the policy, every WG whose registration vanished
-//! since the last read.
+//! nor a landed wake. It is one pass over the WGs, one over the CUs and one
+//! unsorted read of the registry that marks each WG registered or not and
+//! counts the records that would report (a WG listed twice, a stale
+//! record, a SyncMon record whose line lost its monitored bit). Only when
+//! that count is not zero does a sorted read of the registry report them,
+//! in WG order, with the text the sweep has always used. With the oracle
+//! on, the machine runs it after the first event, after the first event at
+//! or past every [`SWEEP_WINDOW`]-cycle boundary, and whenever
+//! [`Gpu::run`] returns; the same passes then leave the **shadow** the
+//! per-event check reads: each WG's state, each CU's resident list, and
+//! the registration marks and counts. After every other event that is not
+//! quiet (below) the machine runs the per-event check instead, over the
+//! event's **touch set**: the event's own WG, every WG whose state the
+//! event set, every WG the policy woke, and, on events that called the
+//! policy, every WG whose registration vanished since the last read.
 //!
 //! * For each touched WG it runs the sweep's queue, residency,
 //!   stale-registration and reachability checks. The two queues are read
@@ -96,8 +103,10 @@
 //! That holds for a write to a quiet event's own WG as well: the per-event
 //! check no longer runs at that WG's next event if the event is quiet.
 //!
-//! The window and run-end sweeps keep the full registry read and the
-//! calendar walk, and so stay the references for the shortcuts. In builds
+//! The window and run-end sweeps keep the whole registry read and the
+//! calendar walk, and decide every verdict from the machine and generation
+//! marks, never from what the shadow held before, so they stay the
+//! references for the shortcuts. In builds
 //! with debug assertions every per-event registry read of a journaling
 //! policy is followed by a whole one, which must find every WG whose
 //! records changed in the journal and agree with the marks and counts;
@@ -107,8 +116,9 @@
 //! journaling policy leaves out of its journal is otherwise seen only by
 //! the next window or run-end sweep.
 //!
-//! The oracle counts the registry reads it makes ([`RegistryReads`]), which
-//! the hot profile reports.
+//! The oracle counts the registry reads it makes ([`RegistryReads`]), the
+//! sorted reads made only to report among them, which the hot profile
+//! reports.
 //!
 //! Leave the oracle off for throughput experiments and on for the chaos
 //! matrix, the conformance lab and CI, where catching a corrupted schedule
@@ -138,9 +148,8 @@ pub(crate) struct OracleScratch {
     /// Queue-membership marks (`gen * 2 + queue_index`), so the pending
     /// and ready queues get independent duplicate detection per check.
     queue_mark: Vec<u64>,
-    /// CU-placement marks plus the placing CU, for duplicate residency.
+    /// CU-placement marks, for duplicate residency.
     placed_mark: Vec<u64>,
-    placed_cu: Vec<u32>,
     /// Waiter-registration marks (duplicate registration detection).
     registered_mark: Vec<u64>,
     /// Waiters with no wake path *yet*: set while scanning WGs, cleared by
@@ -159,7 +168,6 @@ impl OracleScratch {
         if self.queue_mark.len() < n {
             self.queue_mark.resize(n, 0);
             self.placed_mark.resize(n, 0);
-            self.placed_cu.resize(n, 0);
             self.registered_mark.resize(n, 0);
             self.rescue_mark.resize(n, 0);
         }
@@ -169,9 +177,8 @@ impl OracleScratch {
 
 /// What the per-event check knows of the machine as of the last check:
 /// each WG's state and their census, who the registry held at its last
-/// read, each CU's resident list and free resources, and each CU's
-/// occupancy limit. Every full sweep rebuilds it; between sweeps only what
-/// the touch set changed is updated.
+/// read, and a copy of the CUs. Every full sweep fills it as it checks the
+/// machine; between sweeps only what the touch set changed is updated.
 #[derive(Debug, Default)]
 pub(crate) struct OracleShadow {
     /// Whether the shadow mirrors the machine: false until the first full
@@ -215,18 +222,49 @@ pub(crate) struct OracleShadow {
     registry: Vec<(WgId, WaiterRecord)>,
     /// Per WG, the pending token-valid wakes and timeouts (module docs).
     rescues: Rescues,
-    /// Every CU's resident list, flattened (`cu_start[i]..cu_start[i + 1]`
-    /// is CU `i`'s), and its free resources.
+    /// The CUs as the last CU pass saw them.
+    cus: CuCopy,
+}
+
+/// Every CU's resident list, free resources and occupancy limit, as the
+/// last CU pass ([`Gpu::check_cus`]) saw them.
+#[derive(Debug, Default)]
+struct CuCopy {
+    /// The resident lists, flattened: `start[i]..start[i + 1]` is CU `i`'s.
     resident: Vec<WgId>,
-    cu_start: Vec<usize>,
-    cu_free: Vec<(u32, u32, u32)>,
+    start: Vec<usize>,
+    free: Vec<(u32, u32, u32)>,
     /// Per WG, how many resident lists hold it and the last CU that does;
     /// `placed` counts the WGs some list holds.
-    res_count: Vec<u32>,
-    res_cu: Vec<u32>,
+    count: Vec<u32>,
+    cu: Vec<u32>,
     placed: usize,
-    /// Each CU's occupancy limit; kernel and capacities never change.
+    /// Each CU's occupancy limit, refreshed by every full sweep.
     limits: Vec<u32>,
+}
+
+impl CuCopy {
+    /// Empties the lists before a CU pass refills them.
+    fn clear(&mut self) {
+        for &wg in &self.resident {
+            self.count[wg as usize] = 0;
+        }
+        self.resident.clear();
+        self.start.clear();
+        self.free.clear();
+        self.placed = 0;
+    }
+
+    /// Appends `wg` to the list of CU `cu`, the last one started.
+    fn push(&mut self, wg: WgId, cu: usize) {
+        let count = &mut self.count[wg as usize];
+        if *count == 0 {
+            self.placed += 1;
+        }
+        *count += 1;
+        self.cu[wg as usize] = cu as u32;
+        self.resident.push(wg);
+    }
 }
 
 impl OracleShadow {
@@ -303,14 +341,26 @@ impl OracleShadow {
             self.touch(wg);
         }
     }
+
+    /// Sizes the per-WG arrays for `n` WGs. The lists that grow with the
+    /// machine are sized once, so the run never reallocates them: growing
+    /// buffers between the machine's own allocations raised peak RSS.
+    fn size(&mut self, n: usize) {
+        self.touch_mark.resize(n, 0);
+        self.read_mark.resize(n, 0);
+        self.dirty_mark.resize(n, 0);
+        self.cus.count.resize(n, 0);
+        self.cus.cu.resize(n, 0);
+        self.touched.reserve(n);
+        self.cus.resident.reserve(n);
+    }
 }
 
 /// How much of the policy's waiter registry the invariant oracle read:
 /// whole-registry reads and the records they visited, by the full sweeps
-/// and by per-event checks, and journaled reads with the WGs they looked
-/// up and the records those lookups visited (module docs). Reads that only
-/// report (a sorted re-read when something would be reported) and the
-/// debug cross-checks are not counted.
+/// and by per-event checks, journaled reads with the WGs they looked up and
+/// the records those lookups visited, and the sorted reads made only to
+/// report (module docs). The debug cross-checks are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryReads {
     /// Whole-registry reads by the full sweeps.
@@ -328,6 +378,9 @@ pub struct RegistryReads {
     pub journal_wgs: u64,
     /// Records those lookups visited.
     pub journal_records: u64,
+    /// Sorted whole-registry reads made only to report, after a read found
+    /// a record that would report.
+    pub report_reads: u64,
 }
 
 /// Per WG, how many `WakeDeliver`/`WaitTimeout` events carrying `token[wg]`
@@ -491,44 +544,86 @@ impl Gpu {
     /// findings in [`violations`](Gpu::violations).
     pub fn check_invariants(&self) -> Vec<InvariantViolation> {
         let mut state = self.oracle.borrow_mut();
-        self.check_invariants_with(&mut state.scratch)
+        // A shadow of its own, so the run's shadow stays as it is.
+        self.sweep(&mut state.scratch, &mut OracleShadow::default())
     }
 
-    /// The sweep body, working out of caller-owned scratch buffers. One
-    /// fused pass over the WGs feeds every census-style count; membership
-    /// sets are generation marks; the event-calendar scan for waiter
-    /// reachability only runs when some waiter actually lacks a
-    /// registration and a landed wake. The per-event check runs the same
-    /// checks, in the same order, over its touch set.
-    fn check_invariants_with(&self, scratch: &mut OracleScratch) -> Vec<InvariantViolation> {
+    /// The sweep body, which fills `shadow` with the machine as it checks
+    /// it. One pass over the WGs gives the census and the shadow's states,
+    /// one pass over the CUs checks them and copies their lists, and one
+    /// whole-registry read sets the shadow's marks and counts. Only when
+    /// that read finds a record that would report does a sorted read
+    /// report the registry's violations, in WG order. Membership sets are
+    /// generation marks, so no verdict depends on what the shadow held
+    /// before; the event-calendar scan for waiter reachability only runs
+    /// when some waiter actually lacks a registration and a landed wake.
+    /// The per-event check runs the same checks, in the same order, over
+    /// its touch set.
+    fn sweep(
+        &self,
+        scratch: &mut OracleScratch,
+        shadow: &mut OracleShadow,
+    ) -> Vec<InvariantViolation> {
         let mut r = Reports::new(self.now());
         let gen = scratch.begin(self.wgs.len());
-        // One scan computes the ground-truth census every later check reads
-        // (deliberately *not* the machine's incremental `state_census`,
-        // which is itself under test below).
+        shadow.size(self.wgs.len());
+        // The ground-truth census every later check reads (deliberately
+        // *not* the machine's incremental `state_census`, which is itself
+        // under test below).
         let mut counts = [0usize; STATES];
-        for w in &self.wgs {
+        shadow.state.clear();
+        shadow.state.extend(self.wgs.iter().map(|w| {
             counts[w.state.census_index()] += 1;
-        }
+            w.state
+        }));
+        shadow.census = counts;
         self.check_finished(&counts, &mut r);
         self.check_queues(scratch, gen, &counts, |_| true, &mut r);
-        let placed = self.check_cus(scratch, gen, None, |_| true, &mut r);
+        let req = &self.kernel.resources;
+        shadow.cus.limits.clear();
+        shadow
+            .cus
+            .limits
+            .extend(self.cus.iter().map(|cu| cu.max_occupancy(req)));
+        let placed = self.check_cus(scratch, gen, &mut shadow.cus, |_| true, &mut r);
         for w in &self.wgs {
             self.check_placed(w, scratch.placed_mark[w.id as usize] == gen, &mut r);
         }
         self.check_homes(&counts, placed, &mut r);
-        self.check_registry(scratch, gen, &mut r);
-        let registered = &scratch.registered_mark;
+        shadow.reads.sweep_reads += 1;
+        shadow.reads.sweep_records += self.read_marks(shadow);
+        if shadow.dirty > 0 || shadow.stale > 0 {
+            shadow.reads.report_reads += 1;
+            self.check_registry(scratch, gen, &mut r);
+        }
+        #[cfg(debug_assertions)]
+        self.read_registry(&mut shadow.registry);
         self.check_reachable(
             &mut scratch.rescue_mark,
             gen,
             self.wgs.iter().map(|w| w.id),
-            |wg| registered[wg as usize] == gen,
+            |wg| shadow.is_registered(wg),
             None,
             &mut r,
         );
         self.check_census(&counts, &mut r);
         r.out
+    }
+
+    /// The full sweep of a run with the oracle on, into the run's shadow,
+    /// which the per-event checks then read until the next sweep.
+    fn sweep_in_run(
+        &self,
+        scratch: &mut OracleScratch,
+        shadow: &mut OracleShadow,
+    ) -> Vec<InvariantViolation> {
+        let found = self.sweep(scratch, shadow);
+        if !shadow.primed {
+            self.count_rescues(&mut shadow.rescues);
+        }
+        shadow.next_sweep = (self.now() / SWEEP_WINDOW + 1) * SWEEP_WINDOW;
+        shadow.primed = true;
+        found
     }
 
     /// The per-event check over the shadow's touch set (module docs).
@@ -561,30 +656,30 @@ impl Gpu {
         let cus_quiet = self.cus_unchanged(shadow)
             && shadow.touched.iter().all(|&wg| {
                 let w = &self.wgs[wg as usize];
-                match shadow.res_count[wg as usize] {
+                match shadow.cus.count[wg as usize] {
                     0 => w.cu.is_none_or(|cu| self.cu_unchanged(shadow, cu)),
                     1 => {
-                        let cu = shadow.res_cu[wg as usize] as usize;
+                        let cu = shadow.cus.cu[wg as usize] as usize;
                         w.cu == Some(cu) && holds_cu(w.state) && self.cu_unchanged(shadow, cu)
                     }
                     _ => false,
                 }
             });
         if !cus_quiet {
+            let (touch_mark, event) = (&shadow.touch_mark, shadow.event);
             self.check_cus(
                 scratch,
                 gen,
-                Some(&shadow.limits),
-                |wg| shadow.is_touched(wg),
+                &mut shadow.cus,
+                |wg| touch_mark[wg as usize] == event,
                 &mut r,
             );
-            self.snapshot_cus(shadow);
         }
         for &wg in &shadow.touched {
             let w = &self.wgs[wg as usize];
-            self.check_placed(w, shadow.res_count[wg as usize] > 0, &mut r);
+            self.check_placed(w, shadow.cus.count[wg as usize] > 0, &mut r);
         }
-        self.check_homes(&counts, shadow.placed, &mut r);
+        self.check_homes(&counts, shadow.cus.placed, &mut r);
         if shadow.policy_called {
             // Only a policy call changes the registry or a monitored bit.
             // Waiters whose registration vanished join the touch set.
@@ -599,6 +694,7 @@ impl Gpu {
                 self.assert_journal_matches_a_full_read(shadow);
             }
             if shadow.dirty > 0 || shadow.stale > 0 {
+                shadow.reads.report_reads += 1;
                 self.check_registry(scratch, gen, &mut r);
             }
             shadow.touched.sort_unstable();
@@ -609,6 +705,7 @@ impl Gpu {
         {
             // A touched WG left the waiting states with its record in
             // place: report its stale registration from a sorted read.
+            shadow.reads.report_reads += 1;
             let mut registry = std::mem::take(&mut scratch.registry);
             self.read_registry(&mut registry);
             for &wg in &shadow.touched {
@@ -729,43 +826,20 @@ impl Gpu {
     /// touched WG, so a list that changed at equal length lost a touched WG
     /// and is one the caller compares whole: the list that held it.
     fn cus_unchanged(&self, shadow: &OracleShadow) -> bool {
+        let copy = &shadow.cus;
         self.cus.iter().enumerate().all(|(i, cu)| {
-            cu.free_resources() == shadow.cu_free[i]
-                && cu.resident().len() == shadow.cu_start[i + 1] - shadow.cu_start[i]
+            cu.free_resources() == copy.free[i]
+                && cu.resident().len() == copy.start[i + 1] - copy.start[i]
         })
     }
 
     /// Whether CU `cu` exists and its resident list is as the shadow last
     /// saw it.
     fn cu_unchanged(&self, shadow: &OracleShadow, cu: usize) -> bool {
-        self.cus.get(cu).is_some_and(|c| {
-            c.resident() == &shadow.resident[shadow.cu_start[cu]..shadow.cu_start[cu + 1]]
-        })
-    }
-
-    /// Copies every CU's resident list and free resources into the shadow.
-    fn snapshot_cus(&self, shadow: &mut OracleShadow) {
-        for &wg in &shadow.resident {
-            shadow.res_count[wg as usize] = 0;
-        }
-        shadow.resident.clear();
-        shadow.cu_start.clear();
-        shadow.cu_free.clear();
-        shadow.placed = 0;
-        for cu in &self.cus {
-            shadow.cu_start.push(shadow.resident.len());
-            shadow.cu_free.push(cu.free_resources());
-            for &wg in cu.resident() {
-                let count = &mut shadow.res_count[wg as usize];
-                if *count == 0 {
-                    shadow.placed += 1;
-                }
-                *count += 1;
-                shadow.res_cu[wg as usize] = cu.id() as u32;
-                shadow.resident.push(wg);
-            }
-        }
-        shadow.cu_start.push(shadow.resident.len());
+        let copy = &shadow.cus;
+        self.cus
+            .get(cu)
+            .is_some_and(|c| c.resident() == &copy.resident[copy.start[cu]..copy.start[cu + 1]])
     }
 
     /// Reads the whole registry into the shadow's marks and counts and
@@ -806,40 +880,6 @@ impl Gpu {
         records
     }
 
-    /// Rebuilds the shadow from the machine after a full sweep.
-    fn resync(&self, shadow: &mut OracleShadow) {
-        let n = self.wgs.len();
-        shadow.state.clear();
-        shadow.state.extend(self.wgs.iter().map(|w| w.state));
-        shadow.census = [0; STATES];
-        for w in &self.wgs {
-            shadow.census[w.state.census_index()] += 1;
-        }
-        shadow.touch_mark.resize(n, 0);
-        shadow.read_mark.resize(n, 0);
-        shadow.dirty_mark.resize(n, 0);
-        if !shadow.primed {
-            self.count_rescues(&mut shadow.rescues);
-        }
-        // Sized once, so the run never reallocates them: growing buffers
-        // between the machine's own allocations raised peak RSS.
-        shadow.touched.reserve(n);
-        shadow.resident.reserve(n);
-        shadow.reads.sweep_reads += 1;
-        shadow.reads.sweep_records += self.read_marks(shadow);
-        #[cfg(debug_assertions)]
-        self.read_registry(&mut shadow.registry);
-        shadow.res_count.resize(n, 0);
-        shadow.res_cu.resize(n, 0);
-        self.snapshot_cus(shadow);
-        if shadow.limits.len() != self.cus.len() {
-            let req = &self.kernel.resources;
-            shadow.limits = self.cus.iter().map(|cu| cu.max_occupancy(req)).collect();
-        }
-        shadow.next_sweep = (self.now() / SWEEP_WINDOW + 1) * SWEEP_WINDOW;
-        shadow.primed = true;
-    }
-
     /// Rebuilds the rescue counts from the calendar.
     fn count_rescues(&self, rescues: &mut Rescues) {
         rescues.token.clear();
@@ -877,9 +917,7 @@ impl Gpu {
             shadow.touch(wg);
         }
         let found = if !shadow.primed || self.now() >= shadow.next_sweep {
-            let found = self.check_invariants_with(scratch);
-            self.resync(shadow);
-            found
+            self.sweep_in_run(scratch, shadow)
         } else if quiet {
             #[cfg(debug_assertions)]
             self.assert_quiet_event_finds_nothing_new(scratch, shadow);
@@ -919,7 +957,7 @@ impl Gpu {
         if let Some(event) = &unhandled {
             shadow.note_popped(event);
         }
-        let mut found = self.check_invariants_with(scratch);
+        let mut found = self.sweep_in_run(scratch, shadow);
         if let Some(Event::WakeDeliver(wg, token) | Event::WaitTimeout(wg, token)) = unhandled {
             let w = &self.wgs[wg as usize];
             if w.token == token {
@@ -929,7 +967,6 @@ impl Gpu {
                 });
             }
         }
-        self.resync(shadow);
         shadow.end_event();
         found
     }
@@ -1023,30 +1060,36 @@ impl Gpu {
 
     // -- CU residency and occupancy ------------------------------------
 
-    /// Every CU's resident list and counters; returns the number of
-    /// distinct resident WGs. Residents are marked like queue entries and
-    /// checked against their WG when `focus` selects them. `limits` caches
-    /// [`Cu::max_occupancy`](crate::cu::Cu::max_occupancy) per CU.
+    /// Every CU's resident list and counters, copied into `copy` as they
+    /// are checked; returns the number of distinct resident WGs. Residents
+    /// are marked like queue entries and checked against their WG when
+    /// `focus` selects them. The limits are `copy`'s, which every full
+    /// sweep refreshes.
     fn check_cus(
         &self,
         scratch: &mut OracleScratch,
         gen: u64,
-        limits: Option<&[u32]>,
+        copy: &mut CuCopy,
         focus: impl Fn(WgId) -> bool,
         r: &mut Reports,
     ) -> usize {
         let req = &self.kernel.resources;
         let mut placed_count = 0usize;
+        copy.clear();
         for (i, cu) in self.cus.iter().enumerate() {
+            let (free_wf, free_lds, free_vgpr) = cu.free_resources();
+            copy.start.push(copy.resident.len());
+            copy.free.push((free_wf, free_lds, free_vgpr));
             for &wg in cu.resident() {
                 let wgu = wg as usize;
                 let seen = scratch.placed_mark[wgu] == gen;
-                let prev = scratch.placed_cu[wgu] as usize;
+                // Written by this pass whenever `seen` holds.
+                let prev = copy.cu[wgu];
                 if !seen {
                     scratch.placed_mark[wgu] = gen;
                     placed_count += 1;
                 }
-                scratch.placed_cu[wgu] = cu.id() as u32;
+                copy.push(wg, cu.id());
                 if !focus(wg) {
                     continue;
                 }
@@ -1079,7 +1122,7 @@ impl Gpu {
                 }
             }
             let n = cu.resident().len() as u32;
-            let limit = limits.map_or_else(|| cu.max_occupancy(req), |l| l[i]);
+            let limit = copy.limits[i];
             if n > limit {
                 r.push(
                     InvariantKind::CuAccounting,
@@ -1090,7 +1133,6 @@ impl Gpu {
                 );
             }
             let (cap_wf, cap_lds, cap_vgpr) = cu.capacity();
-            let (free_wf, free_lds, free_vgpr) = cu.free_resources();
             let used = (
                 n * req.wavefronts,
                 n * req.lds_bytes,
@@ -1110,6 +1152,7 @@ impl Gpu {
                 );
             }
         }
+        copy.start.push(copy.resident.len());
         placed_count
     }
 

@@ -1,7 +1,11 @@
 //! Integration tests for the GPU timing machine with the baseline policy.
 
-use awg_gpu::{BusyWaitPolicy, Gpu, GpuConfig, Kernel, RunOutcome, TraceEvent, WgResources};
+use awg_gpu::{
+    BusyWaitPolicy, Gpu, GpuConfig, Kernel, PolicyCtx, RunOutcome, SchedPolicy, SyncFail,
+    SyncStyle, TraceEvent, WaitDirective, WgResources,
+};
 use awg_isa::{Cond, Operand, ProgramBuilder, Reg, Special};
+use awg_sim::{Stats, TelemetryConfig};
 
 fn config() -> GpuConfig {
     GpuConfig::isca2020_baseline()
@@ -299,5 +303,94 @@ fn barrier_and_store_paths_work() {
     assert!(outcome.is_completed());
     for wg in 0..4u64 {
         assert_eq!(gpu.backing().load((1 << 20) + wg * 8), 7);
+    }
+}
+
+/// The baseline policy, which also reports its failed checks under a name
+/// the hot profile's log/CP-probe gauge sums.
+#[derive(Debug, Default)]
+struct ProbedBusyWait {
+    inner: BusyWaitPolicy,
+    fails: u64,
+}
+
+impl SchedPolicy for ProbedBusyWait {
+    fn name(&self) -> &str {
+        "ProbedBusyWait"
+    }
+    fn style(&self) -> SyncStyle {
+        self.inner.style()
+    }
+    fn supports_wg_rescheduling(&self) -> bool {
+        false
+    }
+    fn on_sync_fail(&mut self, ctx: &mut PolicyCtx<'_>, fail: &SyncFail) -> WaitDirective {
+        self.fails += 1;
+        self.inner.on_sync_fail(ctx, fail)
+    }
+    fn report(&self, stats: &mut Stats) {
+        self.inner.report(stats);
+        let c = stats.counter("probe_cp_condition_checks");
+        stats.add(c, self.fails);
+    }
+}
+
+/// Calling `run` again on a machine that returned summarizes the same
+/// registry: the policy, telemetry and memory-system counters are folded
+/// into the summary's copy of the registry, never into the machine's own.
+#[test]
+fn a_second_run_summarizes_the_same_registry() {
+    // WGs 1..8 spin with a waiting atomic on a flag WG 0 raises at ~3k
+    // cycles; the cap of the second machine falls before that.
+    let flag = 4096u64;
+    let mut b = ProgramBuilder::new("flag");
+    let raise = b.new_label();
+    let spin = b.new_label();
+    b.special(Reg::R1, Special::WgId);
+    b.br(Cond::Eq, Reg::R1, Operand::Imm(0), raise);
+    b.bind(spin);
+    b.atom_cmp_wait(Reg::R0, flag, 1i64);
+    b.br(Cond::Ne, Reg::R0, Operand::Imm(1), spin);
+    b.halt();
+    b.bind(raise);
+    b.compute(3_000);
+    b.atom_exch(Reg::R0, flag, 1i64);
+    b.halt();
+    let program = b.build().unwrap();
+    for max_cycles in [config().max_cycles, 2_000] {
+        let cfg = GpuConfig {
+            max_cycles,
+            ..config()
+        };
+        let kernel = Kernel::new(program.clone(), 8, WgResources::default());
+        let mut gpu = Gpu::new(cfg, kernel, Box::<ProbedBusyWait>::default());
+        gpu.enable_invariant_oracle()
+            .enable_telemetry(TelemetryConfig::default())
+            .enable_hot_profile();
+        let first = gpu.run();
+        let probes = gpu.hot_report().unwrap().log_cp_probes;
+        let second = gpu.run();
+        let label = format!("cap {max_cycles}: {first}");
+        assert_eq!(first.is_completed(), max_cycles > 2_000, "{label}");
+        assert_eq!(second.is_completed(), first.is_completed(), "{label}");
+        let (a, b) = (first.summary(), second.summary());
+        assert_eq!(a.cycles, b.cycles, "{label}");
+        assert!(
+            a.stats.get_by_name("policy_sync_fails") > Some(0),
+            "{label}"
+        );
+        assert_eq!(a.stats.to_string(), b.stats.to_string(), "{label}");
+        // The gauge reads the policy's own counters: one run's worth.
+        assert_eq!(
+            a.stats.get_by_name("probe_cp_condition_checks"),
+            Some(probes),
+            "{label}"
+        );
+        assert_eq!(gpu.hot_report().unwrap().log_cp_probes, probes, "{label}");
+        assert!(
+            gpu.violations().is_empty(),
+            "{label}: {:?}",
+            gpu.violations()
+        );
     }
 }

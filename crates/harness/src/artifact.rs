@@ -334,7 +334,7 @@ fn stats_from_json(value: &Value) -> Result<Stats, String> {
         let name = items[0]
             .as_str()
             .ok_or_else(|| "counter name is not a string".to_owned())?;
-        let id = stats.counter(name);
+        let id = stats.counter(name.to_owned());
         stats.add(id, as_u64(&items[1], "counter value")?);
     }
     for entry in get_arr(value, "dists")? {
@@ -368,7 +368,7 @@ fn stats_from_json(value: &Value) -> Result<Stats, String> {
             .as_str()
             .ok_or_else(|| "hist name is not a string".to_owned())?;
         // Register the name even when every bucket is empty.
-        stats.hist(name);
+        stats.hist(name.to_owned());
         let buckets = items[1]
             .as_array()
             .ok_or_else(|| "hist buckets are not an array".to_owned())?;

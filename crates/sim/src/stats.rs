@@ -9,7 +9,16 @@
 //! would give — and keep it beside the registry's owner. A handle indexes
 //! one registry only: whoever replaces a registry clears the handles
 //! cached against it.
+//!
+//! A name is kept as a [`Cow<'static, str>`](Cow): a `&'static str`
+//! registers, and its registry clones, without allocating, while a
+//! `String` is kept as given. Every name the machine and the policies
+//! register is static, so a run's summary (a copy of the live registry
+//! plus the end-of-run counters, see `Gpu::run`) allocates only its
+//! storage; the telemetry hub still builds some of its names with
+//! `format!`. Both kinds of name render, iterate and merge alike.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::fasthash::FastMap;
@@ -51,9 +60,12 @@ impl DistSummary {
     }
 }
 
+/// A registered name (module docs).
+type Name = Cow<'static, str>;
+
 #[derive(Debug, Clone)]
 struct Dist {
-    name: String,
+    name: Name,
     count: u64,
     sum: u64,
     min: u64,
@@ -65,7 +77,7 @@ const HIST_BUCKETS: usize = 65;
 
 #[derive(Debug, Clone)]
 struct Hist {
-    name: String,
+    name: Name,
     buckets: [u64; HIST_BUCKETS],
     count: u64,
 }
@@ -83,16 +95,16 @@ struct Hist {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
-    counter_names: Vec<String>,
+    counter_names: Vec<Name>,
     counters: Vec<u64>,
     dists: Vec<Dist>,
     hists: Vec<Hist>,
     // Name → slot indices so registration (and by-name lookup) is O(1).
     // Policies register per-WG metrics on hot paths; a linear scan makes
     // that quadratic in the number of registered names.
-    counter_index: FastMap<String, usize>,
-    dist_index: FastMap<String, usize>,
-    hist_index: FastMap<String, usize>,
+    counter_index: FastMap<Name, usize>,
+    dist_index: FastMap<Name, usize>,
+    hist_index: FastMap<Name, usize>,
 }
 
 impl Stats {
@@ -101,47 +113,70 @@ impl Stats {
         Self::default()
     }
 
+    /// Makes room for `more` counters, so registering them grows neither
+    /// the registry's storage nor its index.
+    pub fn reserve_counters(&mut self, more: usize) {
+        self.counter_names.reserve(more);
+        self.counters.reserve(more);
+        self.counter_index.reserve(more);
+    }
+
     /// Registers (or finds) a counter named `name` and returns its handle.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(&i) = self.counter_index.get(name) {
-            return CounterId(i);
-        }
-        self.counter_names.push(name.to_owned());
-        self.counters.push(0);
-        let i = self.counters.len() - 1;
-        self.counter_index.insert(name.to_owned(), i);
-        CounterId(i)
+    pub fn counter(&mut self, name: impl Into<Cow<'static, str>>) -> CounterId {
+        self.counter_named(name.into())
     }
 
     /// Registers (or finds) a distribution named `name`.
-    pub fn dist(&mut self, name: &str) -> DistId {
-        if let Some(&i) = self.dist_index.get(name) {
+    pub fn dist(&mut self, name: impl Into<Cow<'static, str>>) -> DistId {
+        self.dist_named(name.into())
+    }
+
+    /// Registers (or finds) a log₂ histogram named `name`.
+    pub fn hist(&mut self, name: impl Into<Cow<'static, str>>) -> HistId {
+        self.hist_named(name.into())
+    }
+
+    // The registration bodies are not generic, so they are compiled once,
+    // here, and not into every caller's code.
+
+    fn counter_named(&mut self, name: Name) -> CounterId {
+        if let Some(&i) = self.counter_index.get(&name) {
+            return CounterId(i);
+        }
+        let i = self.counters.len();
+        self.counter_names.push(name.clone());
+        self.counters.push(0);
+        self.counter_index.insert(name, i);
+        CounterId(i)
+    }
+
+    fn dist_named(&mut self, name: Name) -> DistId {
+        if let Some(&i) = self.dist_index.get(&name) {
             return DistId(i);
         }
+        let i = self.dists.len();
         self.dists.push(Dist {
-            name: name.to_owned(),
+            name: name.clone(),
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         });
-        let i = self.dists.len() - 1;
-        self.dist_index.insert(name.to_owned(), i);
+        self.dist_index.insert(name, i);
         DistId(i)
     }
 
-    /// Registers (or finds) a log₂ histogram named `name`.
-    pub fn hist(&mut self, name: &str) -> HistId {
-        if let Some(&i) = self.hist_index.get(name) {
+    fn hist_named(&mut self, name: Name) -> HistId {
+        if let Some(&i) = self.hist_index.get(&name) {
             return HistId(i);
         }
+        let i = self.hists.len();
         self.hists.push(Hist {
-            name: name.to_owned(),
+            name: name.clone(),
             buckets: [0; HIST_BUCKETS],
             count: 0,
         });
-        let i = self.hists.len() - 1;
-        self.hist_index.insert(name.to_owned(), i);
+        self.hist_index.insert(name, i);
         HistId(i)
     }
 
@@ -232,7 +267,7 @@ impl Stats {
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counter_names
             .iter()
-            .map(String::as_str)
+            .map(|name| &**name)
             .zip(self.counters.iter().copied())
     }
 
@@ -241,7 +276,7 @@ impl Stats {
     pub fn dists(&self) -> impl Iterator<Item = (&str, DistSummary)> {
         self.dists.iter().map(|d| {
             (
-                d.name.as_str(),
+                &*d.name,
                 DistSummary {
                     count: d.count,
                     sum: d.sum,
@@ -255,7 +290,7 @@ impl Stats {
     /// Iterates over all `(name, non-empty buckets)` histograms in
     /// registration order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, Vec<(u64, u64)>)> {
-        (0..self.hists.len()).map(|i| (self.hists[i].name.as_str(), self.hist_buckets(HistId(i))))
+        (0..self.hists.len()).map(|i| (&*self.hists[i].name, self.hist_buckets(HistId(i))))
     }
 
     /// Merges another registry into this one by name: counters add,
@@ -270,17 +305,20 @@ impl Stats {
     /// job; sorting makes the merged registry's iteration order (and hence
     /// its `Display` rendering) a function of the merged name *set* only.
     pub fn absorb(&mut self, other: &Stats) {
-        let mut counter_names: Vec<&str> = other.counter_names.iter().map(String::as_str).collect();
-        counter_names.sort_unstable();
-        for name in counter_names {
-            let value = other.counters[other.counter_index[name]];
-            let c = self.counter(name);
+        let mut counters: Vec<(&Name, u64)> = other
+            .counter_names
+            .iter()
+            .zip(other.counters.iter().copied())
+            .collect();
+        counters.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (name, value) in counters {
+            let c = self.counter(name.clone());
             self.add(c, value);
         }
         let mut dist_slots: Vec<&Dist> = other.dists.iter().collect();
         dist_slots.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         for o in dist_slots {
-            let id = self.dist(&o.name);
+            let id = self.dist(o.name.clone());
             let d = &mut self.dists[id.0];
             d.count += o.count;
             d.sum += o.sum;
@@ -290,7 +328,7 @@ impl Stats {
         let mut hist_slots: Vec<&Hist> = other.hists.iter().collect();
         hist_slots.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         for o in hist_slots {
-            let id = self.hist(&o.name);
+            let id = self.hist(o.name.clone());
             let h = &mut self.hists[id.0];
             for (b, &c) in h.buckets.iter_mut().zip(o.buckets.iter()) {
                 *b += c;
@@ -305,7 +343,7 @@ impl Stats {
     /// original samples, so it cannot rebuild moments through
     /// [`Stats::sample`].
     pub fn restore_dist(&mut self, name: &str, summary: DistSummary) {
-        let id = self.dist(name);
+        let id = self.dist(name.to_owned());
         let d = &mut self.dists[id.0];
         d.count += summary.count;
         d.sum += summary.sum;
@@ -322,7 +360,7 @@ impl Stats {
     /// two); anything else restores into the bucket covering the value,
     /// same as [`Stats::observe`] would.
     pub fn restore_hist_bucket(&mut self, name: &str, lower_bound: u64, count: u64) {
-        let id = self.hist(name);
+        let id = self.hist(name.to_owned());
         let bucket = if lower_bound == 0 {
             0
         } else {
@@ -502,7 +540,7 @@ mod tests {
     /// parallel campaign register metrics in policy-dependent order.
     #[test]
     fn absorb_order_is_registration_order_independent() {
-        fn registry(names: [&str; 3]) -> Stats {
+        fn registry(names: [&'static str; 3]) -> Stats {
             let mut s = Stats::new();
             for name in names {
                 let c = s.counter(name);
@@ -555,7 +593,7 @@ mod tests {
 
         let mut rebuilt = Stats::new();
         for (name, value) in original.counters() {
-            let id = rebuilt.counter(name);
+            let id = rebuilt.counter(name.to_owned());
             rebuilt.add(id, value);
         }
         for (name, summary) in original.dists() {
@@ -575,6 +613,82 @@ mod tests {
             rebuilt.hist_buckets_by_name("wake"),
             original.hist_buckets_by_name("wake")
         );
+    }
+
+    /// Static and owned names are two ways to hold the same name: the
+    /// same registrations through either give the same registry.
+    mod name_kinds {
+        use super::*;
+        use proptest::prelude::*;
+
+        const NAMES: [&str; 5] = ["alpha", "wake", "lat", "l2_atomics", "awg_wakes_issued"];
+
+        /// Applies `ops` (kind, name, value) through static names, or
+        /// through owned copies of them.
+        fn build(ops: &[(u8, usize, u64)], owned: bool) -> Stats {
+            let mut s = Stats::new();
+            for &(kind, i, value) in ops {
+                let name: Name = if owned {
+                    Cow::Owned(NAMES[i].to_owned())
+                } else {
+                    Cow::Borrowed(NAMES[i])
+                };
+                match kind {
+                    0 => {
+                        let c = s.counter(name);
+                        s.add(c, value);
+                    }
+                    1 => {
+                        let d = s.dist(name);
+                        s.sample(d, value);
+                    }
+                    _ => {
+                        let h = s.hist(name);
+                        s.observe(h, value);
+                    }
+                }
+            }
+            s
+        }
+
+        /// Everything a reader can see of a registry.
+        fn view(s: &Stats) -> String {
+            let counters: Vec<_> = s.counters().collect();
+            let dists: Vec<_> = s.dists().collect();
+            let hists: Vec<_> = s.hists().collect();
+            format!("{s}{counters:?}{dists:?}{hists:?}")
+        }
+
+        fn op() -> impl Strategy<Value = (u8, usize, u64)> {
+            (0u8..3, 0usize..NAMES.len(), 0u64..5_000)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn static_and_owned_names_build_the_same_registry(
+                ops in prop::collection::vec(op(), 0..40),
+                more in prop::collection::vec(op(), 0..40),
+            ) {
+                let borrowed = build(&ops, false);
+                let owned = build(&ops, true);
+                prop_assert_eq!(view(&borrowed), view(&owned));
+                prop_assert_eq!(view(&borrowed.clone()), view(&owned.clone()));
+
+                // Absorbing either kind into either kind merges alike.
+                let base = build(&more, false);
+                let mut merged = Vec::new();
+                for other in [&borrowed, &owned] {
+                    for into in [base.clone(), build(&more, true)] {
+                        let mut into = into;
+                        into.absorb(other);
+                        merged.push(view(&into));
+                    }
+                }
+                prop_assert!(merged.windows(2).all(|w| w[0] == w[1]), "{:?}", merged);
+            }
+        }
     }
 
     #[test]

@@ -602,10 +602,10 @@ impl TelemetryHub {
         let ids = *self.ctx_switch[dir.index()].get_or_insert_with(|| {
             let name = dir.name();
             CtxSwitchIds {
-                traffic: stats.dist(&format!("telemetry_ctx_{name}_traffic_cycles")),
-                fixed: stats.dist(&format!("telemetry_ctx_{name}_fixed_cycles")),
-                stall: stats.dist(&format!("telemetry_ctx_{name}_stall_cycles")),
-                total: stats.hist(&format!("telemetry_ctx_{name}_total_cycles")),
+                traffic: stats.dist(format!("telemetry_ctx_{name}_traffic_cycles")),
+                fixed: stats.dist(format!("telemetry_ctx_{name}_fixed_cycles")),
+                stall: stats.dist(format!("telemetry_ctx_{name}_stall_cycles")),
+                total: stats.hist(format!("telemetry_ctx_{name}_total_cycles")),
             }
         });
         self.stats.sample(ids.traffic, traffic);
@@ -695,7 +695,7 @@ impl TelemetryHub {
         for state in ProgressState::ALL {
             let d = self
                 .stats
-                .dist(&format!("telemetry_wg_cycles_{}", state.name()));
+                .dist(format!("telemetry_wg_cycles_{}", state.name()));
             for wg in 0..self.wgs.len() {
                 let t = self.wgs[wg].time[state.index()];
                 self.stats.sample(d, t);
@@ -704,7 +704,7 @@ impl TelemetryHub {
         for cause in AttributionCause::ALL {
             let d = self
                 .stats
-                .dist(&format!("telemetry_wg_attr_{}", cause.name()));
+                .dist(format!("telemetry_wg_attr_{}", cause.name()));
             for wg in 0..self.wgs.len() {
                 let t = self.wgs[wg].cause_time[cause.index()];
                 self.stats.sample(d, t);
