@@ -21,6 +21,9 @@ pub struct Cu {
     free_lds: u32,
     free_vgprs: u32,
     resident: Vec<WgId>,
+    /// Bumped by every [`Cu::admit`] and [`Cu::release`], the only writers
+    /// of `resident` and the free counters.
+    version: u64,
     enabled: bool,
     l1: Cache,
 }
@@ -40,6 +43,7 @@ impl Cu {
             free_lds: lds,
             free_vgprs: vgprs,
             resident: Vec::new(),
+            version: 0,
             enabled: true,
             l1: Cache::new(config.l1),
         }
@@ -86,6 +90,7 @@ impl Cu {
         self.free_lds -= req.lds_bytes;
         self.free_vgprs -= req.wavefronts * req.vgprs_per_wavefront;
         self.resident.push(wg);
+        self.version += 1;
     }
 
     /// Releases the resources of `wg`.
@@ -103,6 +108,7 @@ impl Cu {
         self.free_wf += req.wavefronts;
         self.free_lds += req.lds_bytes;
         self.free_vgprs += req.wavefronts * req.vgprs_per_wavefront;
+        self.version += 1;
         debug_assert!(self.free_wf <= self.wf_slots);
         debug_assert!(self.free_lds <= self.lds_bytes);
         debug_assert!(self.free_vgprs <= self.vgprs);
@@ -111,6 +117,14 @@ impl Cu {
     /// WGs currently resident, in admission order (mutations may reorder).
     pub fn resident(&self) -> &[WgId] {
         &self.resident
+    }
+
+    /// How many times [`Cu::admit`] and [`Cu::release`] have run on this
+    /// CU. They alone change the resident list and the free counters, so
+    /// while the version stands still, both are as they were: the
+    /// invariant oracle compares versions instead of copies.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Number of WGs currently resident (the telemetry occupancy metric).
@@ -200,6 +214,36 @@ mod tests {
         assert!(cu.resident().is_empty());
         assert_eq!(cu.max_occupancy(&req), 10);
         assert!(cu.fits(&req));
+    }
+
+    #[test]
+    fn admit_and_release_each_bump_the_version_once() {
+        let c = cfg();
+        let mut cu = Cu::new(0, &c);
+        let req = WgResources::default_heterosync();
+        assert_eq!(cu.version(), 0);
+        cu.admit(3, &req);
+        assert_eq!(cu.version(), 1);
+        cu.admit(4, &req);
+        assert_eq!(cu.version(), 2);
+        cu.release(3, &req);
+        assert_eq!(cu.version(), 3);
+    }
+
+    #[test]
+    fn readers_and_enable_leave_the_version() {
+        let c = cfg();
+        let mut cu = Cu::new(0, &c);
+        let req = WgResources::default_heterosync();
+        cu.admit(3, &req);
+        let version = cu.version();
+        let _ = (cu.resident(), cu.occupancy(), cu.free_resources());
+        let _ = (cu.fits(&req), cu.max_occupancy(&req), cu.capacity());
+        let _ = (cu.id(), cu.is_enabled(), cu.l1_latency());
+        cu.l1_mut();
+        cu.disable();
+        cu.enable();
+        assert_eq!(cu.version(), version);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::Duration;
 use awg_sim::json::Value;
 use awg_sim::Cycle;
 
-use crate::oracle::RegistryReads;
+use crate::oracle::{OracleWork, RegistryReads};
 
 /// Number of event-type lanes (one per [`Event`](crate::machine) variant,
 /// in save-tag order).
@@ -125,6 +125,9 @@ pub struct HotReport {
     /// The invariant oracle's registry reads (all zero with the oracle
     /// off).
     pub registry_reads: RegistryReads,
+    /// The invariant oracle's sweeps, per-event checks, quiet skips and CU
+    /// passes (all zero with the oracle off).
+    pub oracle_work: OracleWork,
 }
 
 impl HotReport {
@@ -143,6 +146,7 @@ impl HotReport {
         log_cp_probes: u64,
         trace_records: usize,
         registry_reads: RegistryReads,
+        oracle_work: OracleWork,
     ) -> Self {
         let attributed: Duration = prof.lane_wall.iter().sum();
         let mut lanes: Vec<HotLane> = (0..EVENT_LANES)
@@ -174,6 +178,7 @@ impl HotReport {
             log_cp_probes,
             trace_records,
             registry_reads,
+            oracle_work,
         }
     }
 
@@ -202,8 +207,16 @@ impl HotReport {
             })
             .collect();
         let (atomics, reads, writes) = self.l2_ops;
+        let counts = |counts: &[(&str, u64)]| {
+            Value::Object(
+                counts
+                    .iter()
+                    .map(|&(name, n)| (name.to_owned(), Value::Num(n as f64)))
+                    .collect(),
+            )
+        };
         let r = &self.registry_reads;
-        let registry = [
+        let registry = counts(&[
             ("sweep_reads", r.sweep_reads),
             ("sweep_records", r.sweep_records),
             ("full_reads", r.full_reads),
@@ -212,10 +225,14 @@ impl HotReport {
             ("journal_wgs", r.journal_wgs),
             ("journal_records", r.journal_records),
             ("report_reads", r.report_reads),
-        ]
-        .into_iter()
-        .map(|(name, n)| (name.to_owned(), Value::Num(n as f64)))
-        .collect();
+        ]);
+        let w = &self.oracle_work;
+        let work = counts(&[
+            ("sweeps", w.sweeps),
+            ("checks", w.checks),
+            ("quiet_skips", w.quiet_skips),
+            ("cu_passes", w.cu_passes),
+        ]);
         Value::Object(vec![
             ("profile".to_owned(), Value::Str("awg-hotspot".to_owned())),
             ("sim_cycles".to_owned(), Value::Num(self.sim_cycles as f64)),
@@ -268,7 +285,8 @@ impl HotReport {
                 "trace_records".to_owned(),
                 Value::Num(self.trace_records as f64),
             ),
-            ("oracle_registry_reads".to_owned(), Value::Object(registry)),
+            ("oracle_registry_reads".to_owned(), registry),
+            ("oracle_work".to_owned(), work),
         ])
     }
 }
@@ -313,6 +331,12 @@ impl std::fmt::Display for HotReport {
             r.journal_wgs,
             r.journal_records,
             r.report_reads
+        )?;
+        let w = &self.oracle_work;
+        writeln!(
+            f,
+            "  oracle work: {} sweeps, {} per-event checks ({} CU passes), {} quiet skips",
+            w.sweeps, w.checks, w.cu_passes, w.quiet_skips
         )?;
         writeln!(
             f,
@@ -359,6 +383,7 @@ mod tests {
             11,
             42,
             RegistryReads::default(),
+            OracleWork::default(),
         );
         let total: f64 = report.lanes.iter().map(|l| l.fraction).sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to 100%: {total}");
@@ -386,6 +411,7 @@ mod tests {
             0,
             5,
             RegistryReads::default(),
+            OracleWork::default(),
         );
         let text = report.to_json().to_json();
         let parsed = awg_sim::json::parse(&text).expect("profile JSON parses");
@@ -425,6 +451,12 @@ mod tests {
                 report_reads: 2,
                 ..RegistryReads::default()
             },
+            OracleWork {
+                sweeps: 3,
+                checks: 40,
+                quiet_skips: 9,
+                cu_passes: 5,
+            },
         );
         let text = report.to_string();
         for name in LANE_NAMES {
@@ -434,6 +466,10 @@ mod tests {
         assert!(text.contains("share"), "{text}");
         assert!(
             text.contains("0 journaled (17 WGs, 0 records), 2 sorted to report"),
+            "{text}"
+        );
+        assert!(
+            text.contains("3 sweeps, 40 per-event checks (5 CU passes), 9 quiet skips"),
             "{text}"
         );
     }

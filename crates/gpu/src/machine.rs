@@ -598,6 +598,7 @@ impl Gpu {
                 })
                 .map(|(_, v)| v)
                 .sum();
+            let oracle = &self.oracle.borrow().shadow;
             HotReport::assemble(
                 p,
                 self.now,
@@ -607,7 +608,8 @@ impl Gpu {
                 self.l2.monitored_peak(),
                 log_cp_probes,
                 self.trace.len(),
-                self.oracle.borrow().shadow.registry_reads(),
+                oracle.registry_reads(),
+                oracle.work(),
             )
         })
     }
@@ -950,7 +952,7 @@ impl Gpu {
     /// Transitions a WG's scheduling state, keeping the telemetry hub's
     /// time-in-state accounting and cycle-attribution ledger in step with
     /// the machine's own.
-    fn set_wg_state(&mut self, wg: WgId, state: WgState, at: Cycle) {
+    pub(crate) fn set_wg_state(&mut self, wg: WgId, state: WgState, at: Cycle) {
         let wgu = wg as usize;
         self.state_census[self.wgs[wgu].state.census_index()] -= 1;
         self.state_census[state.census_index()] += 1;

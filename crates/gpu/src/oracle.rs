@@ -44,16 +44,24 @@
 //!
 //! * For each touched WG it runs the sweep's queue, residency,
 //!   stale-registration and reachability checks. The two queues are read
-//!   whole, so duplicates stay exact; a CU's resident list is compared
-//!   with its last copy only when a touched WG was on it or the CU's count
-//!   or free resources moved. A touched waiter with neither a registration
-//!   nor a landed wake is looked up in per-WG **rescue counts** instead of
-//!   the calendar: how many `WakeDeliver`/`WaitTimeout` events for its
-//!   current token are pending. The machine counts each such event at the
-//!   two sites that schedule them (`apply_wakes`, `rearm_timeout`); the
-//!   oracle uncounts each one [`Gpu::run`] pops when the loop hands it
-//!   that event, handled or cut off. The counts are rebuilt from the
-//!   calendar only when the shadow is primed.
+//!   whole, so duplicates stay exact. The CUs' resident lists are read
+//!   again (a **CU pass**) only when some CU's version moved since the
+//!   last pass, or a touched WG is on more than one list, or on one that
+//!   its placement or state does not match. The version rule is exact:
+//!   [`Cu::admit`] and [`Cu::release`] are the only writers of a CU's
+//!   resident list and free counters, and each bumps [`Cu::version`]. A
+//!   CU whose version stands still holds the list and counters the last
+//!   pass checked, so the pass could report nothing new but for those
+//!   per-WG checks on touched WGs. In builds with debug assertions the
+//!   last pass's lists and counters are kept, and every CU whose version
+//!   stood still must equal them. A touched waiter with neither a
+//!   registration nor a landed wake is looked up in per-WG **rescue
+//!   counts** instead of the calendar: how many `WakeDeliver`/`WaitTimeout`
+//!   events for its current token are pending. The machine counts each
+//!   such event at the two sites that schedule them (`apply_wakes`,
+//!   `rearm_timeout`); the oracle uncounts each one [`Gpu::run`] pops when
+//!   the loop hands it that event, handled or cut off. The counts are
+//!   rebuilt from the calendar only when the shadow is primed.
 //! * On events that called the policy it brings its registration marks up
 //!   to date and, if any record would report (a WG listed twice, a stale
 //!   record, a SyncMon record whose line lost its monitored bit), runs the
@@ -117,8 +125,9 @@
 //! the next window or run-end sweep.
 //!
 //! The oracle counts the registry reads it makes ([`RegistryReads`]), the
-//! sorted reads made only to report among them, which the hot profile
-//! reports.
+//! sorted reads made only to report among them, and its sweeps, per-event
+//! checks, quiet skips and CU passes ([`OracleWork`]), which the hot
+//! profile reports.
 //!
 //! Leave the oracle off for throughput experiments and on for the chaos
 //! matrix, the conformance lab and CI, where catching a corrupted schedule
@@ -126,6 +135,7 @@
 
 use awg_sim::Cycle;
 
+use crate::cu::Cu;
 use crate::machine::{Event, Gpu};
 use crate::policy::{WaiterRecord, WaiterStructure};
 use crate::wg::{Wg, WgId, WgState};
@@ -216,6 +226,8 @@ pub(crate) struct OracleShadow {
     journal: Vec<WgId>,
     /// The registry reads made so far.
     reads: RegistryReads,
+    /// The checks run and skipped so far.
+    work: OracleWork,
     /// The sorted registry as of the last read, which the journal
     /// cross-check compares the next one with.
     #[cfg(debug_assertions)]
@@ -226,14 +238,14 @@ pub(crate) struct OracleShadow {
     cus: CuCopy,
 }
 
-/// Every CU's resident list, free resources and occupancy limit, as the
-/// last CU pass ([`Gpu::check_cus`]) saw them.
+/// Every CU's version and occupancy limit and where the resident lists
+/// place each WG, as the last CU pass ([`Gpu::check_cus`]) saw them.
 #[derive(Debug, Default)]
 struct CuCopy {
-    /// The resident lists, flattened: `start[i]..start[i + 1]` is CU `i`'s.
+    /// Each CU's [`Cu::version`](crate::Cu::version).
+    versions: Vec<u64>,
+    /// The resident lists, flattened in CU order.
     resident: Vec<WgId>,
-    start: Vec<usize>,
-    free: Vec<(u32, u32, u32)>,
     /// Per WG, how many resident lists hold it and the last CU that does;
     /// `placed` counts the WGs some list holds.
     count: Vec<u32>,
@@ -241,6 +253,13 @@ struct CuCopy {
     placed: usize,
     /// Each CU's occupancy limit, refreshed by every full sweep.
     limits: Vec<u32>,
+    /// Where each CU's list starts in `resident` (`start[i]..start[i + 1]`
+    /// is CU `i`'s), and each CU's free resources: what the debug
+    /// cross-check compares a CU whose version stood still with.
+    #[cfg(debug_assertions)]
+    start: Vec<usize>,
+    #[cfg(debug_assertions)]
+    free: Vec<(u32, u32, u32)>,
 }
 
 impl CuCopy {
@@ -249,13 +268,44 @@ impl CuCopy {
         for &wg in &self.resident {
             self.count[wg as usize] = 0;
         }
+        self.versions.clear();
         self.resident.clear();
-        self.start.clear();
-        self.free.clear();
         self.placed = 0;
+        #[cfg(debug_assertions)]
+        {
+            self.start.clear();
+            self.free.clear();
+        }
     }
 
-    /// Appends `wg` to the list of CU `cu`, the last one started.
+    /// Begins the list of `cu`, the next CU in order.
+    fn begin(&mut self, cu: &Cu) {
+        self.versions.push(cu.version());
+        #[cfg(debug_assertions)]
+        {
+            self.start.push(self.resident.len());
+            self.free.push(cu.free_resources());
+        }
+    }
+
+    /// Panics unless `cu`, whose version is the one recorded, holds the
+    /// resident list and free resources recorded with it: something wrote
+    /// them without going through `Cu::admit` or `Cu::release`.
+    #[cfg(debug_assertions)]
+    fn assert_copy_of(&self, cu: &Cu) {
+        let i = cu.id();
+        assert_eq!(
+            (cu.resident(), cu.free_resources()),
+            (
+                &self.resident[self.start[i]..self.start[i + 1]],
+                self.free[i]
+            ),
+            "CU {i} changed at version {}",
+            cu.version()
+        );
+    }
+
+    /// Appends `wg` to the list of CU `cu`, the last one begun.
     fn push(&mut self, wg: WgId, cu: usize) {
         let count = &mut self.count[wg as usize];
         if *count == 0 {
@@ -290,6 +340,11 @@ impl OracleShadow {
     /// The registry reads made so far.
     pub(crate) fn registry_reads(&self) -> RegistryReads {
         self.reads
+    }
+
+    /// The checks run and skipped so far.
+    pub(crate) fn work(&self) -> OracleWork {
+        self.work
     }
 
     /// Records a `WakeDeliver` or `WaitTimeout` scheduled for `wg` with
@@ -381,6 +436,23 @@ pub struct RegistryReads {
     /// Sorted whole-registry reads made only to report, after a read found
     /// a record that would report.
     pub report_reads: u64,
+}
+
+/// How often the invariant oracle checked the machine, and how (module
+/// docs). The debug cross-checks are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OracleWork {
+    /// Full sweeps: after the first event, after the first event at or past
+    /// each window boundary, and as [`Gpu::run`] returns.
+    pub sweeps: u64,
+    /// Per-event checks run, after events that were not quiet.
+    pub checks: u64,
+    /// Per-event checks skipped after quiet events.
+    pub quiet_skips: u64,
+    /// CU passes the per-event checks ran: some CU's version moved, or a
+    /// touched WG is on more than one resident list, or on one that its
+    /// placement or state does not match. Each sweep runs one more.
+    pub cu_passes: u64,
 }
 
 /// Per WG, how many `WakeDeliver`/`WaitTimeout` events carrying `token[wg]`
@@ -617,6 +689,7 @@ impl Gpu {
         scratch: &mut OracleScratch,
         shadow: &mut OracleShadow,
     ) -> Vec<InvariantViolation> {
+        shadow.work.sweeps += 1;
         let found = self.sweep(scratch, shadow);
         if !shadow.primed {
             self.count_rescues(&mut shadow.rescues);
@@ -649,23 +722,22 @@ impl Gpu {
         let counts = shadow.census;
         self.check_finished(&counts, &mut r);
         self.check_queues(scratch, gen, &counts, |wg| shadow.is_touched(wg), &mut r);
-        // While no resident list or resource counter moved, the CU checks
-        // can only report on a touched WG whose state or placement no
-        // longer matches the one list holding it; otherwise they run in
-        // full, in the sweep's order.
+        // While no CU's version moved, the CU checks can only report on a
+        // touched WG that more than one list holds, or whose placement or
+        // state no longer matches the one list holding it: the rest they
+        // would report as the last pass did. Otherwise they run in full,
+        // in the sweep's order.
         let cus_quiet = self.cus_unchanged(shadow)
             && shadow.touched.iter().all(|&wg| {
                 let w = &self.wgs[wg as usize];
                 match shadow.cus.count[wg as usize] {
-                    0 => w.cu.is_none_or(|cu| self.cu_unchanged(shadow, cu)),
-                    1 => {
-                        let cu = shadow.cus.cu[wg as usize] as usize;
-                        w.cu == Some(cu) && holds_cu(w.state) && self.cu_unchanged(shadow, cu)
-                    }
+                    0 => true,
+                    1 => w.cu == Some(shadow.cus.cu[wg as usize] as usize) && holds_cu(w.state),
                     _ => false,
                 }
             });
         if !cus_quiet {
+            shadow.work.cu_passes += 1;
             let (touch_mark, event) = (&shadow.touch_mark, shadow.event);
             self.check_cus(
                 scratch,
@@ -821,25 +893,22 @@ impl Gpu {
         assert_eq!((listed.len(), dirty.len()), (shadow.listed, shadow.dirty));
     }
 
-    /// Whether every CU's resident count and free resources are as the
-    /// shadow last saw them. Lists change only by admitting or releasing a
-    /// touched WG, so a list that changed at equal length lost a touched WG
-    /// and is one the caller compares whole: the list that held it.
+    /// Whether every CU's resident list and free resources are as the last
+    /// CU pass saw them: its version is the one that pass recorded (module
+    /// docs). Builds with debug assertions compare the lists and counters
+    /// too.
     fn cus_unchanged(&self, shadow: &OracleShadow) -> bool {
-        let copy = &shadow.cus;
-        self.cus.iter().enumerate().all(|(i, cu)| {
-            cu.free_resources() == copy.free[i]
-                && cu.resident().len() == copy.start[i + 1] - copy.start[i]
-        })
-    }
-
-    /// Whether CU `cu` exists and its resident list is as the shadow last
-    /// saw it.
-    fn cu_unchanged(&self, shadow: &OracleShadow, cu: usize) -> bool {
-        let copy = &shadow.cus;
         self.cus
-            .get(cu)
-            .is_some_and(|c| c.resident() == &copy.resident[copy.start[cu]..copy.start[cu + 1]])
+            .iter()
+            .zip(&shadow.cus.versions)
+            .all(|(cu, &version)| {
+                let unchanged = cu.version() == version;
+                #[cfg(debug_assertions)]
+                if unchanged {
+                    shadow.cus.assert_copy_of(cu);
+                }
+                unchanged
+            })
     }
 
     /// Reads the whole registry into the shadow's marks and counts and
@@ -919,10 +988,12 @@ impl Gpu {
         let found = if !shadow.primed || self.now() >= shadow.next_sweep {
             self.sweep_in_run(scratch, shadow)
         } else if quiet {
+            shadow.work.quiet_skips += 1;
             #[cfg(debug_assertions)]
             self.assert_quiet_event_finds_nothing_new(scratch, shadow);
             Vec::new()
         } else {
+            shadow.work.checks += 1;
             self.check_touched(scratch, shadow)
         };
         shadow.end_event();
@@ -931,14 +1002,18 @@ impl Gpu {
 
     /// Runs the per-event check a quiet event skipped and panics if it
     /// finds anything the violation log would not already keep: a write
-    /// bypassed the mutation sites the skip relies on (module docs).
+    /// bypassed the mutation sites the skip relies on (module docs). Its
+    /// reads and passes are not counted.
     #[cfg(debug_assertions)]
     fn assert_quiet_event_finds_nothing_new(
         &self,
         scratch: &mut OracleScratch,
         shadow: &mut OracleShadow,
     ) {
-        for v in self.check_touched(scratch, shadow) {
+        let counted = (shadow.reads, shadow.work);
+        let found = self.check_touched(scratch, shadow);
+        (shadow.reads, shadow.work) = counted;
+        for v in found {
             assert!(
                 self.violation_held(v.kind, &v.detail),
                 "the per-event check a quiet event skipped finds {v}, which the violation log \
@@ -1060,11 +1135,11 @@ impl Gpu {
 
     // -- CU residency and occupancy ------------------------------------
 
-    /// Every CU's resident list and counters, copied into `copy` as they
-    /// are checked; returns the number of distinct resident WGs. Residents
-    /// are marked like queue entries and checked against their WG when
-    /// `focus` selects them. The limits are `copy`'s, which every full
-    /// sweep refreshes.
+    /// Every CU's resident list and counters, recorded in `copy` (each
+    /// CU's version and where the lists place each WG) as they are checked;
+    /// returns the number of distinct resident WGs. Residents are marked
+    /// like queue entries and checked against their WG when `focus` selects
+    /// them. The limits are `copy`'s, which every full sweep refreshes.
     fn check_cus(
         &self,
         scratch: &mut OracleScratch,
@@ -1078,8 +1153,7 @@ impl Gpu {
         copy.clear();
         for (i, cu) in self.cus.iter().enumerate() {
             let (free_wf, free_lds, free_vgpr) = cu.free_resources();
-            copy.start.push(copy.resident.len());
-            copy.free.push((free_wf, free_lds, free_vgpr));
+            copy.begin(cu);
             for &wg in cu.resident() {
                 let wgu = wg as usize;
                 let seen = scratch.placed_mark[wgu] == gen;
@@ -1152,6 +1226,7 @@ impl Gpu {
                 );
             }
         }
+        #[cfg(debug_assertions)]
         copy.start.push(copy.resident.len());
         placed_count
     }
@@ -1551,6 +1626,84 @@ mod tests {
         completion_cycle(gpu.run());
         let at = unplaced_wg_1_reported_at(&gpu);
         assert!((7_000..7_600).contains(&at), "reported at {at}");
+    }
+
+    #[test]
+    fn cu_tampered_through_admit_is_reported_at_the_wgs_next_event() {
+        // As above, every event of WG 1 sets its state: none is quiet.
+        let mut gpu = staggered_gpu_stepping(|b| {
+            b.sleep(500i64);
+        });
+        pause_before(&mut gpu, 7_000);
+        // Admit the resident WG 1 to a second CU behind the scheduler's
+        // back. The write bumps that CU's version, so the CU pass runs.
+        let home = gpu.wgs[1].cu.expect("WG 1 is resident");
+        let other = (home + 1) % gpu.cus.len();
+        let req = gpu.kernel.resources;
+        gpu.cus[other].admit(1, &req);
+        completion_cycle(gpu.run());
+        let v = gpu.violations();
+        let first = v.first().unwrap_or_else(|| panic!("nothing reported"));
+        assert_eq!(first.kind, InvariantKind::CuResidency, "{first}");
+        assert!(first.detail.starts_with("WG 1 resident on CU "), "{first}");
+        assert!(
+            (7_000..7_600).contains(&first.at),
+            "reported at {}",
+            first.at
+        );
+    }
+
+    #[test]
+    fn wg_on_two_lists_is_reported_when_touched_after_the_pass_that_saw_it() {
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, 7_000);
+        let home = gpu.wgs[1].cu.expect("WG 1 is resident");
+        let other = (home + 1) % gpu.cus.len();
+        let req = gpu.kernel.resources;
+        gpu.cus[other].admit(1, &req);
+        let now = gpu.now();
+        // A check that touches WG 2 alone: the moved version sends it to
+        // the CU pass, which records WG 1 on two lists but checks only
+        // touched WGs.
+        let state = gpu.wgs[2].state;
+        gpu.set_wg_state(2, state, now);
+        assert_eq!(gpu.check_event(Event::CpTick), Vec::new());
+        // No version moves before WG 1 is touched, so its two lists alone
+        // must send the check to the CU pass.
+        let state = gpu.wgs[1].state;
+        gpu.set_wg_state(1, state, now);
+        let found = gpu.check_event(Event::CpTick);
+        let first = found.first().unwrap_or_else(|| panic!("nothing reported"));
+        assert_eq!(first.kind, InvariantKind::CuResidency, "{first}");
+        assert!(first.detail.starts_with("WG 1 resident on CU "), "{first}");
+    }
+
+    #[test]
+    fn state_set_that_leaves_a_wg_on_its_cu_is_reported_at_the_next_event() {
+        let mut gpu = staggered_gpu();
+        pause_before(&mut gpu, 7_000);
+        // A planted machine bug: WG 1 leaves the CU-holding states through
+        // the state setter, which touches it, but stays on its CU's list.
+        // No CU's version moves, so only the touched WG's state sends the
+        // check to the CU pass. The token bump turns WG 1's pending
+        // `Continue` stale, so no handler runs on the planted state.
+        let now = gpu.now();
+        gpu.set_wg_state(1, WgState::SwappedWaiting, now);
+        gpu.wgs[1].token += 1;
+        let next = gpu.events.peek_cycle().unwrap();
+        gpu.schedule_resource_restore(0, next + 1);
+        gpu.config.max_cycles = next;
+        assert!(matches!(gpu.run(), RunOutcome::CycleLimit { .. }));
+        let v = gpu.violations();
+        let first = v.first().unwrap_or_else(|| panic!("nothing reported"));
+        assert_eq!((first.at, first.kind), (next, InvariantKind::CuResidency));
+        assert!(
+            first.detail.starts_with("WG 1 resident on CU ")
+                && first
+                    .detail
+                    .ends_with(" in non-resident state SwappedWaiting"),
+            "{first}"
+        );
     }
 
     #[test]

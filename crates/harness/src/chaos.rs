@@ -359,7 +359,7 @@ pub fn run(scale: &Scale) -> Report {
 mod tests {
     use super::*;
     use crate::run::run_instrumented;
-    use awg_gpu::RegistryReads;
+    use awg_gpu::{HotReport, OracleWork, RegistryReads};
 
     #[test]
     fn plans_respect_rescheduling_support() {
@@ -372,14 +372,8 @@ mod tests {
         );
     }
 
-    /// The oracle's registry reads on one quick-scale chaos cell, exactly:
-    /// the journaled read's algorithmic claim (ROADMAP item 11). Whole
-    /// reads by events follow only a monitored-bit flip; every other
-    /// policy call looks up just the WGs its journal lists. The cell is
-    /// clean, so no read sorts the registry to report: each of the 13
-    /// sweeps used to.
-    #[test]
-    fn oracle_registry_reads_of_a_chaos_cell_are_pinned() {
+    /// The hot report of one quick-scale chaos cell, checked and clean.
+    fn pinned_cell_report() -> HotReport {
         let scale = Scale::quick();
         let policy = PolicyKind::Awg;
         let r = run_instrumented(
@@ -396,7 +390,18 @@ mod tests {
         );
         assert!(r.is_valid_completion(), "{} / {:?}", r.outcome, r.validated);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
-        let reads = r.hot.expect("the hot profile was on").registry_reads;
+        r.hot.expect("the hot profile was on")
+    }
+
+    /// The oracle's registry reads on one quick-scale chaos cell, exactly:
+    /// the journaled read's algorithmic claim (ROADMAP item 11). Whole
+    /// reads by events follow only a monitored-bit flip; every other
+    /// policy call looks up just the WGs its journal lists. The cell is
+    /// clean, so no read sorts the registry to report: each of the 13
+    /// sweeps used to.
+    #[test]
+    fn oracle_registry_reads_of_a_chaos_cell_are_pinned() {
+        let reads = pinned_cell_report().registry_reads;
         assert_eq!(
             reads,
             RegistryReads {
@@ -408,6 +413,23 @@ mod tests {
                 journal_wgs: 76,
                 journal_records: 38,
                 report_reads: 0,
+            }
+        );
+    }
+
+    /// The oracle's checks on the same cell, exactly (ROADMAP item 11):
+    /// one sweep per window and at the run's end, a per-event check after
+    /// every event that was not quiet, and a CU pass in those only when a
+    /// CU admitted or released a WG or a touched WG left its CU.
+    #[test]
+    fn oracle_work_of_a_chaos_cell_is_pinned() {
+        assert_eq!(
+            pinned_cell_report().oracle_work,
+            OracleWork {
+                sweeps: 13,
+                checks: 353,
+                quiet_skips: 80,
+                cu_passes: 58,
             }
         );
     }

@@ -16,7 +16,11 @@
 //! byte as `state ^= 0; state *= PRIME`, a bare multiply, so a word's `k`
 //! trailing zero bytes (little-endian order) fold as one multiply by
 //! `PRIME^k`. [`Fingerprint64::push`] hashes only the significant bytes one
-//! by one and the rest that way; the digest is the byte-serial one.
+//! by one and the rest that way, and merges the last significant byte's own
+//! multiply into that one: `(x · PRIME) · PRIME^k = x · PRIME^(k+1)` mod
+//! 2⁶⁴, so a word with `s` significant bytes costs `s` serial multiplies,
+//! the last by `PRIME^(9 − s)`. A zero word folds as one multiply by
+//! `PRIME^8`. The digest is the byte-serial one.
 
 /// Streaming 64-bit FNV-1a hasher over words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,19 +49,23 @@ impl Fingerprint64 {
     }
 
     /// Folds one unsigned word into the digest: FNV-1a over its eight
-    /// little-endian bytes, with the high-order zero bytes folded in one
-    /// multiply (module docs).
+    /// little-endian bytes, with the last significant byte's multiply and
+    /// the high-order zero bytes' folded into one (module docs).
     #[inline]
     pub fn push(&mut self, word: u64) {
-        let significant = 8 - (word.leading_zeros() / 8) as usize;
+        // A zero word counts one significant byte, the zero low byte: it
+        // then folds as `^= 0` and one multiply by `PRIME^8`.
+        let significant = 8 - ((word | 1).leading_zeros() / 8) as usize;
         let mut state = self.state;
         let mut rest = word;
-        for _ in 0..significant {
+        for _ in 1..significant {
             state ^= rest & 0xFF;
             state = state.wrapping_mul(FNV_PRIME);
             rest >>= 8;
         }
-        self.state = state.wrapping_mul(FNV_PRIME_POW[8 - significant]);
+        // `rest` is now the last significant byte alone.
+        state ^= rest;
+        self.state = state.wrapping_mul(FNV_PRIME_POW[9 - significant]);
     }
 
     /// Folds one signed word into the digest.

@@ -183,13 +183,6 @@ pub enum SwapDir {
 }
 
 impl SwapDir {
-    fn name(self) -> &'static str {
-        match self {
-            SwapDir::Out => "out",
-            SwapDir::In => "in",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             SwapDir::Out => 0,
@@ -197,6 +190,62 @@ impl SwapDir {
         }
     }
 }
+
+/// The hub's registry names, built at compile time: each `format!` of the
+/// name would allocate an owned string for every run that registers it.
+macro_rules! prefixed {
+    ($prefix:expr, [$($name:literal),* $(,)?]) => {
+        [$(concat!($prefix, $name)),*]
+    };
+}
+
+/// One swap direction's context-switch names: the traffic, fixed and stall
+/// distributions, then the total histogram.
+macro_rules! ctx_switch_names {
+    ($dir:literal) => {
+        prefixed!(
+            concat!("telemetry_ctx_", $dir, "_"),
+            [
+                "traffic_cycles",
+                "fixed_cycles",
+                "stall_cycles",
+                "total_cycles"
+            ]
+        )
+    };
+}
+
+/// Context-switch names per [`SwapDir::index`].
+const CTX_SWITCH_NAMES: [[&str; 4]; 2] = [ctx_switch_names!("out"), ctx_switch_names!("in")];
+
+/// Time-in-state distribution names per [`ProgressState::index`].
+const WG_CYCLES_NAMES: [&str; PROGRESS_STATES] = prefixed!(
+    "telemetry_wg_cycles_",
+    [
+        "queued",
+        "running",
+        "stalled",
+        "sleeping",
+        "swap_out",
+        "swapped_out",
+        "swap_in",
+        "finished",
+    ]
+);
+
+/// Cycle-attribution distribution names per [`AttributionCause::index`].
+const WG_ATTR_NAMES: [&str; ATTRIBUTION_CAUSES] = prefixed!(
+    "telemetry_wg_attr_",
+    [
+        "queued",
+        "executing",
+        "sync_wait",
+        "sleep_wait",
+        "preempted",
+        "fault_stall",
+        "retired",
+    ]
+);
 
 /// One swap direction's context-switch measurements in the hub's
 /// registry.
@@ -484,8 +533,7 @@ pub struct TelemetryHub {
     config: TelemetryConfig,
     stats: Stats,
     /// Handles into `stats` for the per-event measurements, resolved at
-    /// first use so registration order is unchanged; `load` replaces
-    /// `stats` and clears them.
+    /// first use so registration order is unchanged.
     wake_to_resume: Option<HistId>,
     ctx_switch: [Option<CtxSwitchIds>; 2],
     wgs: Vec<WgAccount>,
@@ -600,12 +648,12 @@ impl TelemetryHub {
     pub fn note_ctx_switch(&mut self, dir: SwapDir, traffic: Cycle, fixed: Cycle, stall: Cycle) {
         let stats = &mut self.stats;
         let ids = *self.ctx_switch[dir.index()].get_or_insert_with(|| {
-            let name = dir.name();
+            let [traffic, fixed, stall, total] = CTX_SWITCH_NAMES[dir.index()];
             CtxSwitchIds {
-                traffic: stats.dist(format!("telemetry_ctx_{name}_traffic_cycles")),
-                fixed: stats.dist(format!("telemetry_ctx_{name}_fixed_cycles")),
-                stall: stats.dist(format!("telemetry_ctx_{name}_stall_cycles")),
-                total: stats.hist(format!("telemetry_ctx_{name}_total_cycles")),
+                traffic: stats.dist(traffic),
+                fixed: stats.dist(fixed),
+                stall: stats.dist(stall),
+                total: stats.hist(total),
             }
         });
         self.stats.sample(ids.traffic, traffic);
@@ -692,21 +740,17 @@ impl TelemetryHub {
             a.cause_time[idx] += end.saturating_sub(a.cause_since);
             a.cause_since = end;
         }
-        for state in ProgressState::ALL {
-            let d = self
-                .stats
-                .dist(format!("telemetry_wg_cycles_{}", state.name()));
+        for (i, name) in WG_CYCLES_NAMES.into_iter().enumerate() {
+            let d = self.stats.dist(name);
             for wg in 0..self.wgs.len() {
-                let t = self.wgs[wg].time[state.index()];
+                let t = self.wgs[wg].time[i];
                 self.stats.sample(d, t);
             }
         }
-        for cause in AttributionCause::ALL {
-            let d = self
-                .stats
-                .dist(format!("telemetry_wg_attr_{}", cause.name()));
+        for (i, name) in WG_ATTR_NAMES.into_iter().enumerate() {
+            let d = self.stats.dist(name);
             for wg in 0..self.wgs.len() {
-                let t = self.wgs[wg].cause_time[cause.index()];
+                let t = self.wgs[wg].cause_time[i];
                 self.stats.sample(d, t);
             }
         }
@@ -1051,6 +1095,35 @@ mod tests {
         assert!(s
             .hist_buckets_by_name("telemetry_ctx_out_total_cycles")
             .is_some());
+    }
+
+    /// The static name tables hold exactly the names the hub used to
+    /// build with `format!`, in registration order.
+    #[test]
+    fn static_names_equal_the_formatted_ones() {
+        for (dir, name) in [(SwapDir::Out, "out"), (SwapDir::In, "in")] {
+            assert_eq!(
+                CTX_SWITCH_NAMES[dir.index()],
+                [
+                    format!("telemetry_ctx_{name}_traffic_cycles"),
+                    format!("telemetry_ctx_{name}_fixed_cycles"),
+                    format!("telemetry_ctx_{name}_stall_cycles"),
+                    format!("telemetry_ctx_{name}_total_cycles"),
+                ]
+            );
+        }
+        for state in ProgressState::ALL {
+            assert_eq!(
+                WG_CYCLES_NAMES[state.index()],
+                format!("telemetry_wg_cycles_{}", state.name())
+            );
+        }
+        for cause in AttributionCause::ALL {
+            assert_eq!(
+                WG_ATTR_NAMES[cause.index()],
+                format!("telemetry_wg_attr_{}", cause.name())
+            );
+        }
     }
 
     #[test]
